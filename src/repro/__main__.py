@@ -322,14 +322,15 @@ def _parse_resources(mappings) -> tuple:
 
     Returns ``(resources, error)``; exactly one is ``None``.
     """
+    from .schedule_runner import read_page_text
+
     resources = {}
     for mapping in mappings or ():
         url, _sep, path = mapping.partition("=")
         if not path:
             return None, f"bad --resource {mapping!r}; expected url=path"
         try:
-            with open(path) as handle:
-                resources[url] = handle.read()
+            resources[url] = read_page_text(path)
         except OSError as exc:
             return None, f"cannot read --resource {path!r}: {exc.strerror or exc}"
     return resources, None
@@ -550,8 +551,12 @@ def cmd_check(args) -> int:
         har_resources = workload.resources
         sizes = {url: float(size) for url, size in workload.sizes.items()}
     else:
-        with open(args.page) as handle:
-            html = handle.read()
+        from .schedule_runner import read_page_text
+
+        try:
+            html = read_page_text(args.page)
+        except OSError as exc:
+            return _fail(f"cannot read {args.page!r}: {exc.strerror or exc}")
     resources, resource_error = _parse_resources(args.resource)
     if resource_error:
         return _fail(resource_error)

@@ -232,9 +232,17 @@ def _shb_path(
     return None
 
 
+def racy_reads_from(
+    rf_edges: List[ReadsFromEdge],
+) -> Dict[Tuple[int, int], ReadsFromEdge]:
+    """The racy reads-from edges keyed by ``(src, dst)`` operation pair
+    (the last edge wins when one pair flows through several locations)."""
+    return {(rf.src, rf.dst): rf for rf in rf_edges if rf.racy}
+
+
 def classify_pair(
     shb: HBGraph,
-    rf_edges: List[ReadsFromEdge],
+    racy_by_pair: Dict[Tuple[int, int], ReadsFromEdge],
     a: int,
     b: int,
 ) -> Tuple[str, Tuple[ReadsFromEdge, ...]]:
@@ -242,15 +250,13 @@ def classify_pair(
 
     The direct edges between the pair (in either direction) are excluded:
     they express the conflict under prediction, not a constraint on it.
-    Returns ``(status, blocking reads-from edges)``.
+    ``racy_by_pair`` is :func:`racy_reads_from` of the SHB graph's
+    reads-from edges.  Returns ``(status, blocking reads-from edges)``.
     """
     skip = {(a, b), (b, a)}
     path = _shb_path(shb, a, b, skip) or _shb_path(shb, b, a, skip)
     if path is None:
         return STATUS_SCHEDULABLE, ()
-    racy_by_pair = {
-        (rf.src, rf.dst): rf for rf in rf_edges if rf.racy
-    }
     blocking = tuple(
         racy_by_pair[(src, dst)]
         for src, dst in zip(path, path[1:])
@@ -290,6 +296,7 @@ def predict_races(
     for access in trace.accesses:
         sweep.on_access(access)
     shb, rf_edges = build_shb(trace, hb)
+    racy_by_pair = racy_reads_from(rf_edges)
     observed_keys = {
         race.pair_key()
         for race in observed
@@ -300,7 +307,7 @@ def predict_races(
         a, b = race.op_pair()
         if race.pair_key() in observed_keys:
             continue
-        status, blocking = classify_pair(shb, rf_edges, a, b)
+        status, blocking = classify_pair(shb, racy_by_pair, a, b)
         predictions.append(
             ShbPrediction(race=race, status=status, blocking_rf=blocking)
         )

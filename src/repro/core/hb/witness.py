@@ -19,16 +19,22 @@ Every function is generic over the backend: it only needs
 ``predecessors(op_id)`` and ``edge_rule(src, dst)``, which both
 :class:`~repro.core.hb.graph.HBGraph` (and therefore every
 :func:`~repro.core.hb.backend.make_backend` product) and the standalone
-:class:`~repro.core.hb.chains.IncrementalChainClocks` provide.  Witness
-queries run *after* detection, off the hot path, so they favour clarity
-over speed (O(V) per race; races per page are few).
+:class:`~repro.core.hb.chains.IncrementalChainClocks` provide.
+
+The functions above walk the graph afresh on every call: O(V) per race,
+which is the reference behaviour.  A page can have thousands of races
+over a few hundred operations (``repro predict`` on n timers that all
+update one global reports O(n²) pairs), so batch callers use
+:class:`WitnessIndex` instead.  It walks each racing operation's cone
+once, as one backward-BFS parent tree, and answers every witness from
+the cached trees with results equal to :func:`race_witness`.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import AbstractSet, Dict, List, Optional, Set
 
 
 @dataclass(frozen=True)
@@ -148,3 +154,79 @@ def race_witness(hb, a: int, b: int) -> RaceWitness:
         path_b=path_b or [],
         ordered=ordered,
     )
+
+
+class WitnessIndex:
+    """:func:`race_witness` answers for many pairs over one fixed graph.
+
+    Each operation's ancestor cone is walked once, as a backward BFS that
+    keeps the parent through which it first discovered every ancestor.
+    The tree's keys are :func:`ancestor_closure`, and following parents
+    from ``src`` reads off exactly the path :func:`hb_path` returns: that
+    BFS visits nodes in the same order and also records a node's parent on
+    first discovery, it merely stops once it reaches ``src``.
+
+    The graph must not change while the index is in use; create one per
+    batch and drop it afterwards.
+    """
+
+    def __init__(self, hb):
+        self.hb = hb
+        #: op → {ancestor: the successor it was discovered from}.
+        self._trees: Dict[int, Dict[int, int]] = {}
+        #: op → its ancestor cone (the tree's keys, plus op on a cycle).
+        self._cones: Dict[int, AbstractSet[int]] = {}
+
+    def _walk(self, dst: int) -> None:
+        parent: Dict[int, int] = {}
+        cyclic = False
+        queue = deque([dst])
+        while queue:
+            node = queue.popleft()
+            for pred in self.hb.predecessors(node):
+                if pred == dst:
+                    cyclic = True
+                elif pred not in parent:
+                    parent[pred] = node
+                    queue.append(pred)
+        self._trees[dst] = parent
+        self._cones[dst] = parent.keys() | {dst} if cyclic else parent.keys()
+
+    def cone(self, op_id: int) -> AbstractSet[int]:
+        """Equal to :func:`ancestor_closure` (read-only view)."""
+        if op_id not in self._cones:
+            self._walk(op_id)
+        return self._cones[op_id]
+
+    def path(self, src: int, dst: int) -> Optional[List[WitnessStep]]:
+        """Equal to :func:`hb_path`."""
+        if src == dst:
+            return []
+        if dst not in self._trees:
+            self._walk(dst)
+        parent = self._trees[dst]
+        if src not in parent:
+            return None
+        steps: List[WitnessStep] = []
+        at = src
+        while at != dst:
+            nxt = parent[at]
+            steps.append(WitnessStep(at, nxt, self.hb.edge_rule(at, nxt) or ""))
+            at = nxt
+        return steps
+
+    def witness(self, a: int, b: int) -> RaceWitness:
+        """Equal to :func:`race_witness`."""
+        cone_a = self.cone(a)
+        cone_b = self.cone(b)
+        common = cone_a & cone_b
+        nca = max(common) if common else None
+        return RaceWitness(
+            a=a,
+            b=b,
+            nca=nca,
+            common_ancestor_count=len(common),
+            path_a=(self.path(nca, a) or []) if nca is not None else [],
+            path_b=(self.path(nca, b) or []) if nca is not None else [],
+            ordered=a in cone_b or b in cone_a,
+        )

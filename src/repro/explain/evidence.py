@@ -20,16 +20,24 @@ Evidence is built strictly *after* detection from structures the run
 already produced (trace + HB store), so attaching it can never perturb the
 set of reported races — report-flagged and plain runs see byte-identical
 races, a property the integration tests pin down.
+
+Callers that build many records over one trace share an
+:class:`EvidenceBatch`: a per-location access index for the timelines and
+a :class:`~repro.core.hb.witness.WitnessIndex` for the HB cones, both
+built once instead of once per race.  Records come out identical to the
+unbatched ones.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
+from ..core.access import Access
 from ..core.detector import Race
-from ..core.locations import location_family
-from ..core.hb.witness import RaceWitness, race_witness
+from ..core.locations import Location, location_family
+from ..core.hb.witness import RaceWitness, WitnessIndex, race_witness
 from ..core.report import ClassifiedRace, RaceReport
 from ..core.trace import Trace
 from ..obs import NULL
@@ -166,11 +174,7 @@ def _access_dict(race: Race, role: str) -> Dict[str, Any]:
     }
 
 
-def _timeline(trace: Trace, race: Race, seq: int) -> List[Dict[str, Any]]:
-    """Accesses to the racing location nearest to ``seq``, in order."""
-    touches = trace.accesses_to(race.location)
-    touches.sort(key=lambda a: abs(a.seq - seq))
-    window = sorted(touches[:TIMELINE_WINDOW], key=lambda a: a.seq)
+def _timeline_dicts(race: Race, window: List[Access]) -> List[Dict[str, Any]]:
     racing = {race.prior.seq, race.current.seq}
     return [
         {
@@ -181,6 +185,71 @@ def _timeline(trace: Trace, race: Race, seq: int) -> List[Dict[str, Any]]:
         }
         for access in window
     ]
+
+
+def _timeline(trace: Trace, race: Race, seq: int) -> List[Dict[str, Any]]:
+    """Accesses to the racing location nearest to ``seq``, in order."""
+    touches = trace.accesses_to(race.location)
+    touches.sort(key=lambda a: abs(a.seq - seq))
+    window = sorted(touches[:TIMELINE_WINDOW], key=lambda a: a.seq)
+    return _timeline_dicts(race, window)
+
+
+class EvidenceBatch:
+    """Indexes shared by every evidence record built over one trace + HB.
+
+    * accesses grouped by location, in trace order, so a timeline window
+      is a bisect plus a walk outward instead of a scan and sort of the
+      whole trace;
+    * a :class:`~repro.core.hb.witness.WitnessIndex`, so each racing
+      operation's HB cone is walked once.
+
+    Both are built lazily.  The trace and graph must not change while
+    the batch is in use; create one per batch of records and drop it.
+    """
+
+    def __init__(self, trace: Trace, hb):
+        self.trace = trace
+        self.witnesses = WitnessIndex(hb)
+        #: location → (seqs, accesses) of its accesses, in trace order.
+        self._by_location: Optional[
+            Dict[Location, Tuple[List[int], List[Access]]]
+        ] = None
+
+    def _index(self) -> Dict[Location, Tuple[List[int], List[Access]]]:
+        by_location: Dict[Location, Tuple[List[int], List[Access]]] = {}
+        for access in self.trace.accesses:
+            entry = by_location.get(access.location)
+            if entry is None:
+                entry = by_location[access.location] = ([], [])
+            entry[0].append(access.seq)
+            entry[1].append(access)
+        return by_location
+
+    def timeline(self, race: Race, seq: int) -> List[Dict[str, Any]]:
+        """Equal to the reference ``_timeline(trace, race, seq)``.
+
+        The reference keeps the :data:`TIMELINE_WINDOW` accesses nearest
+        to ``seq`` under a stable sort, so on equal distance the earlier
+        access wins.  Trace seqs increase along the trace (``Trace.record``
+        stamps them), so the earlier access is the lower seq, and walking
+        outward from the bisect point while preferring the left side on
+        ties picks the same window.
+        """
+        if self._by_location is None:
+            self._by_location = self._index()
+        seqs, touches = self._by_location.get(race.location, ([], []))
+        right = bisect_left(seqs, seq)
+        left = right - 1
+        count = min(TIMELINE_WINDOW, len(seqs))
+        for _ in range(count):
+            if right >= len(seqs) or (
+                left >= 0 and seq - seqs[left] <= seqs[right] - seq
+            ):
+                left -= 1
+            else:
+                right += 1
+        return _timeline_dicts(race, touches[left + 1:right])
 
 
 def _steps(witness_path) -> List[Dict[str, Any]]:
@@ -216,17 +285,30 @@ def _explanation(race: Race, witness: RaceWitness, trace: Trace) -> str:
 
 
 def build_race_evidence(
-    classified: ClassifiedRace, trace: Trace, hb, obs=None
+    classified: ClassifiedRace,
+    trace: Trace,
+    hb,
+    obs=None,
+    *,
+    batch: Optional[EvidenceBatch] = None,
+    fingerprint: Optional[str] = None,
 ) -> RaceEvidence:
     """Build the evidence record for one classified race.
 
     ``hb`` is any object with the witness surface (``predecessors`` /
     ``edge_rule``) — every :func:`~repro.core.hb.backend.make_backend`
-    product and the standalone chain clocks qualify.
+    product and the standalone chain clocks qualify.  ``batch``, built
+    over the same ``trace`` and ``hb``, shares its indexes across the
+    records of one batch; ``fingerprint`` passes in an already computed
+    :func:`~repro.explain.fingerprint.race_fingerprint`.  Neither changes
+    the record.
     """
     obs = obs if obs is not None else NULL
     race = classified.race
-    witness = race_witness(hb, race.prior.op_id, race.current.op_id)
+    if batch is None:
+        witness = race_witness(hb, race.prior.op_id, race.current.op_id)
+    else:
+        witness = batch.witnesses.witness(race.prior.op_id, race.current.op_id)
     nca: Optional[Dict[str, Any]] = None
     if witness.nca is not None:
         nca = _operation_dict(trace, witness.nca)
@@ -239,10 +321,18 @@ def build_race_evidence(
             operation=_operation_dict(trace, access.op_id),
             source=_source_of(trace, access.op_id),
             path_from_nca=_steps(path),
-            timeline=_timeline(trace, race, access.seq),
+            timeline=(
+                _timeline(trace, race, access.seq)
+                if batch is None
+                else batch.timeline(race, access.seq)
+            ),
         )
     evidence = RaceEvidence(
-        fingerprint=race_fingerprint(race, trace),
+        fingerprint=(
+            fingerprint
+            if fingerprint is not None
+            else race_fingerprint(race, trace)
+        ),
         kind=race.kind,
         location=race.location.describe(),
         location_token=location_token(race.location),
@@ -272,10 +362,11 @@ def attach_evidence(
     """Build and attach evidence for every race in a classified report."""
     obs = obs if obs is not None else NULL
     records: List[RaceEvidence] = []
+    batch = EvidenceBatch(trace, hb)
     with obs.span("explain.evidence", cat="explain", races=report.total()):
         for classified in report.races:
             classified.evidence = build_race_evidence(
-                classified, trace, hb, obs=obs
+                classified, trace, hb, obs=obs, batch=batch
             )
             records.append(classified.evidence)
     return records

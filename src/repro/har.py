@@ -183,6 +183,9 @@ def workload_from_entries(entries: List[HarEntry]) -> HarWorkload:
 
 def load_har(path: str) -> HarWorkload:
     """Read and assemble a ``.har`` file; raises :class:`HarError`/OSError."""
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise HarError(f"not UTF-8 JSON: {exc}") from None
     return workload_from_entries(parse_har(text))

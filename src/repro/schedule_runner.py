@@ -135,6 +135,17 @@ def _har_page_input(
     )
 
 
+def read_page_text(path: str) -> str:
+    """The text of a page or resource file.
+
+    Bytes that are not valid UTF-8 decode to U+FFFD replacement
+    characters, as a browser decoding a UTF-8 page does, so a stray byte
+    cannot abort the run.
+    """
+    with open(path, encoding="utf-8", errors="replace") as handle:
+        return handle.read()
+
+
 def load_page_inputs(
     path: str, resources: Optional[Dict[str, str]] = None
 ) -> List[PageInput]:
@@ -151,8 +162,7 @@ def load_page_inputs(
     if os.path.isfile(path):
         if path.endswith(".har"):
             return [_har_page_input(path, resources)]
-        with open(path) as handle:
-            html = handle.read()
+        html = read_page_text(path)
         return [PageInput(url=path, html=html, resources=dict(resources or {}))]
     if not os.path.isdir(path):
         raise FileNotFoundError(f"no such page or directory: {path!r}")
@@ -161,8 +171,7 @@ def load_page_inputs(
     for name in names:
         full = os.path.join(path, name)
         if os.path.isfile(full) and not name.endswith(".har"):
-            with open(full) as handle:
-                contents[name] = handle.read()
+            contents[name] = read_page_text(full)
     pages: List[PageInput] = []
     for name in names:
         full = os.path.join(path, name)

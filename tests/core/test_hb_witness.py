@@ -1,11 +1,13 @@
 """Tests for witness-path queries over rule-labeled HB edges."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.hb.backend import make_backend
 from repro.core.hb.chains import IncrementalChainClocks
 from repro.core.hb.graph import HBGraph
 from repro.core.hb.witness import (
+    WitnessIndex,
     ancestor_closure,
     hb_path,
     nearest_common_ancestor,
@@ -158,3 +160,47 @@ class TestEdgeRuleProvenance:
         assert graph.add_edge(1, 2, "first")
         assert not graph.add_edge(1, 2, "second")
         assert graph.edge_rule(1, 2) == "first"
+
+
+@st.composite
+def forward_dags(draw):
+    """A backend kind plus a random forward DAG over ops ``1..n`` whose
+    edges carry one of a few rule labels."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    pairs = [(src, dst) for dst in range(2, n + 1) for src in range(1, dst)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = [
+        (src, dst, draw(st.sampled_from(["1a", "2", "8", "13"])))
+        for src, dst in chosen
+    ]
+    return draw(st.sampled_from(["graph", "chains"])), n, edges
+
+
+class TestWitnessIndex:
+    """The batch index answers exactly like the uncached queries."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(forward_dags())
+    def test_equals_uncached_queries_on_every_pair(self, dag):
+        backend, n, edges = dag
+        store = make_backend(backend)
+        for op_id in range(1, n + 1):
+            store.add_operation(op_id)
+        for src, dst, rule in edges:
+            store.add_edge(src, dst, rule)
+        index = WitnessIndex(store)
+        ops = range(1, n + 1)
+        for a in ops:
+            assert set(index.cone(a)) == ancestor_closure(store, a)
+            for b in ops:
+                assert index.witness(a, b) == race_witness(store, a, b)
+                assert index.path(a, b) == hb_path(store, a, b)
+
+    def test_cycle_puts_the_op_in_its_own_cone(self):
+        graph = HBGraph(assert_forward=False)
+        graph.add_edge(1, 2)
+        graph.add_edge(2, 3)
+        graph.add_edge(3, 2)
+        index = WitnessIndex(graph)
+        assert set(index.cone(2)) == ancestor_closure(graph, 2) == {1, 2, 3}
+        assert index.witness(2, 3) == race_witness(graph, 2, 3)

@@ -1,7 +1,14 @@
 """Tests for race evidence records (HB witnesses, provenance, timelines)."""
 
+from hypothesis import given, settings, strategies as st
+
+from repro.core.access import READ, WRITE, Access
+from repro.core.detector import Race
 from repro.core.hb.rules import ALL_RULES
+from repro.core.locations import VarLocation
+from repro.core.trace import Trace
 from repro.explain import attach_evidence, build_race_evidence
+from repro.explain.evidence import TIMELINE_WINDOW, EvidenceBatch
 from repro.obs import Instrumentation
 
 
@@ -188,3 +195,74 @@ class TestDisjointComponents:
         record = build_race_evidence(classified, trace, hb)
         dumped = json.loads(json.dumps(record.to_dict()))
         assert dumped["nca"] is None
+
+
+def sort_based_timeline(trace, race, seq):
+    """The unbatched timeline as first written: scan the whole trace for
+    the location, stable-sort every touch by distance, keep the nearest."""
+    touches = trace.accesses_to(race.location)
+    touches.sort(key=lambda a: abs(a.seq - seq))
+    window = sorted(touches[:TIMELINE_WINDOW], key=lambda a: a.seq)
+    racing = {race.prior.seq, race.current.seq}
+    return [
+        {
+            "seq": access.seq,
+            "op_id": access.op_id,
+            "kind": access.kind,
+            "racing": access.seq in racing,
+        }
+        for access in window
+    ]
+
+
+LOCATIONS = [VarLocation(cell_id=cell, name=name) for cell, name in ((1, "x"), (2, "y"))]
+
+
+@st.composite
+def gapped_traces(draw):
+    """A trace whose seqs increase along it with gaps of 1–3, so equal
+    distances on both sides of a seq (ties) are common."""
+    trace = Trace()
+    seq = draw(st.integers(min_value=0, max_value=3))
+    for _ in range(draw(st.integers(min_value=1, max_value=30))):
+        trace.accesses.append(
+            Access(
+                kind=draw(st.sampled_from([READ, WRITE])),
+                op_id=draw(st.integers(min_value=1, max_value=5)),
+                location=draw(st.sampled_from(LOCATIONS)),
+                seq=seq,
+            )
+        )
+        seq += draw(st.integers(min_value=1, max_value=3))
+    return trace
+
+
+class TestEvidenceBatch:
+    @settings(max_examples=200, deadline=None)
+    @given(gapped_traces(), st.data())
+    def test_timeline_equals_sort_based_timeline(self, trace, data):
+        prior = data.draw(st.sampled_from(trace.accesses))
+        current = data.draw(st.sampled_from(trace.accesses))
+        race = Race(
+            location=prior.location, prior=prior, current=current, kind="rw"
+        )
+        batch = EvidenceBatch(trace, hb=None)
+        last = trace.accesses[-1].seq
+        for seq in range(-2, last + 3):
+            assert batch.timeline(race, seq) == sort_based_timeline(
+                trace, race, seq
+            )
+
+    def test_batched_records_equal_unbatched(self, backend_report):
+        _backend, report = backend_report
+        trace = report.trace
+        graph = report.page.monitor.graph
+        batched = [
+            record.to_dict()
+            for record in attach_evidence(report.classified, trace, graph)
+        ]
+        reference = [
+            build_race_evidence(classified, trace, graph).to_dict()
+            for classified in report.classified.races
+        ]
+        assert batched and batched == reference

@@ -268,3 +268,58 @@ class TestPathHelpers:
     def test_write_output_success_returns_none(self, tmp_path):
         target = tmp_path / "ok.txt"
         assert _write_output(str(target), lambda: target.write_text("hi")) is None
+
+
+class TestPageFileReads:
+    """Pages and resources holding bytes that are not UTF-8 decode with
+    replacement characters, as a browser does, instead of crashing; a
+    page that cannot be read at all is a one-line error."""
+
+    PAGE = b'<div>caf\xff\xfe</div><script src="lib.js"></script>'
+    SCRIPT = b"var label = '\xff\xfe';"
+
+    @pytest.fixture
+    def pages_dir(self, tmp_path):
+        pages = tmp_path / "pages"
+        pages.mkdir()
+        (pages / "page.html").write_bytes(self.PAGE)
+        (pages / "lib.js").write_bytes(self.SCRIPT)
+        return pages
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "{dir}/page.html", "--resource", "lib.js={dir}/lib.js"],
+            ["explore", "{dir}", "--schedules", "2"],
+            ["predict", "{dir}", "--budget", "1"],
+            ["predict", "{dir}/page.html", "--resource", "lib.js={dir}/lib.js"],
+        ],
+        ids=["check", "explore-dir", "predict-dir", "predict-file"],
+    )
+    def test_runs_to_completion(self, pages_dir, argv, capsys):
+        argv = [arg.format(dir=pages_dir) for arg in argv]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert "error" not in captured.err
+
+    def test_bytes_become_replacement_characters(self, pages_dir):
+        from repro.schedule_runner import load_page_inputs
+
+        (page,) = load_page_inputs(str(pages_dir))
+        assert "caf��" in page.html
+        assert page.resources["lib.js"] == "var label = '��';"
+
+    def test_missing_page_is_a_one_line_error(self, tmp_path, capsys):
+        assert main(["check", str(tmp_path / "gone.html")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_non_utf8_har_is_a_one_line_error(self, tmp_path, capsys):
+        har = tmp_path / "capture.har"
+        har.write_bytes(b'{"log": {"entries": ["\xff\xfe"]}}')
+        assert main(["check", str(har)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad HAR")
+        assert len(err.strip().splitlines()) == 1

@@ -11,6 +11,11 @@ import json
 import pytest
 
 from repro.__main__ import main
+from repro.browser.scheduler import RecordingScheduler
+from repro.core.hb.shb import predict_races
+from repro.core.hb.witness import WitnessIndex
+from repro.core.report import build_report
+from repro.explain.evidence import build_race_evidence
 from repro.explain.schedule_report import (
     assemble_predict_document,
     render_predict_text,
@@ -23,7 +28,7 @@ from repro.predict import (
     predict_pages,
     witness_schedule_specs,
 )
-from repro.schedule_runner import PageInput
+from repro.schedule_runner import PageInput, ScheduleSpec, run_page_once
 
 from .test_explore import POLL_HTML, POLL_RESOURCES
 
@@ -270,3 +275,57 @@ class TestShbBackendCli:
         out = capsys.readouterr().out
         assert "SHB:" in out
         assert "predicted races (SHB" in out
+
+
+def timer_page(timers):
+    """``timers`` timers that each run ``x = x + 1``: every pair of timer
+    bodies races on ``x``, so predictions grow as timers squared."""
+    parts = ["<script>x = 0;</script>"]
+    for index in range(timers):
+        parts.append(
+            "<script>setTimeout(function () { x = x + 1; }, "
+            f"{index + 1});</script>"
+        )
+    return PageInput(url=f"timers{timers}.html", html="".join(parts))
+
+
+class TestBatchedEvidence:
+    """Predictions build their evidence in one batch per page; the records
+    must equal the ones the unbatched reference functions build."""
+
+    def test_timer_page_evidence_equals_reference(self):
+        page = timer_page(25)
+        report = predict_page(page, seed=0, budget=1)
+        recorder = RecordingScheduler(ScheduleSpec("fifo", "fifo").build())
+        page_obj, page_report, base_fps, _ = run_page_once(
+            page, recorder, 0, "graph"
+        )
+        trace, graph = page_obj.trace, page_obj.monitor.graph
+        analysis = predict_races(trace, graph, page_report.raw_races)
+        reference = {}
+        for prediction in analysis.predictions:
+            classified = build_report([prediction.race], trace).races[0]
+            record = build_race_evidence(classified, trace, graph)
+            reference.setdefault(record.fingerprint, record.to_dict())
+        for fingerprint in base_fps:
+            reference.pop(fingerprint, None)
+        assert len(report.predictions) > 100
+        assert {
+            p.fingerprint: p.evidence for p in report.predictions
+        } == reference
+
+    def test_one_ancestor_walk_per_racing_op(self, monkeypatch):
+        walks = {}
+        walk = WitnessIndex._walk
+
+        def counting_walk(index, dst):
+            walks.setdefault(id(index), []).append(dst)
+            return walk(index, dst)
+
+        monkeypatch.setattr(WitnessIndex, "_walk", counting_walk)
+        report = predict_page(timer_page(50), seed=0, budget=1)
+        racing_ops = {op for p in report.predictions for op in p.op_pair}
+        assert len(report.predictions) > 1000
+        assert len(walks) == 1, "one evidence batch per page"
+        (batch_walks,) = walks.values()
+        assert len(batch_walks) <= len(racing_ops)
