@@ -7,6 +7,8 @@ the paper's published values.  Run with::
     pytest benchmarks/ --benchmark-only -s
 """
 
+import contextlib
+
 import pytest
 
 from repro import WebRacer
@@ -26,6 +28,27 @@ def corpus_report(corpus):
     """WebRacer's full corpus run (shared by the Table 1/2 benchmarks)."""
     racer = WebRacer(seed=MASTER_SEED)
     return racer.check_corpus(corpus)
+
+
+@pytest.fixture
+def ancestor_set_store(monkeypatch):
+    """A context manager under which live page loads keep happens-before
+    in :class:`~repro.core.hb.graph.AncestorSetGraph` — the paper's
+    frozen-ancestor-set representation — instead of the chain clocks every
+    backend name now selects.  The E8/E9 ablations compare the two."""
+    from repro.browser import instrument
+    from repro.core.hb.graph import AncestorSetGraph
+
+    def reference(_name, assert_forward=True, obs=None):
+        return AncestorSetGraph(assert_forward=assert_forward, obs=obs)
+
+    @contextlib.contextmanager
+    def use():
+        with monkeypatch.context() as patch:
+            patch.setattr(instrument, "make_backend", reference)
+            yield
+
+    return use
 
 
 def print_header(title):

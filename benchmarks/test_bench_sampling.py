@@ -36,6 +36,7 @@ mirroring how the online hook's work is excluded on the exact side
 Run with ``pytest benchmarks/test_bench_sampling.py -s``.
 """
 
+import gc
 import time
 
 from repro.core.filters import FilterChain
@@ -170,12 +171,19 @@ def test_sampling_recall_vs_speed(corpus_report):
         for index, (url, page) in enumerate(pages)
     }
 
+    # Each timed stream starts from a fully collected heap.  The corpus
+    # report keeps every page's trace alive, so one full (generation 2)
+    # collection costs about as much as the whole two-tier stream; where
+    # the interpreter happens to schedule it would otherwise decide which
+    # side pays for it.
+    gc.collect()
     started = time.perf_counter()
     exact_stream_races = 0
     for _, _, page in stream:
         exact_stream_races += len(_exact_analysis(page))
     exact_s = time.perf_counter() - started
 
+    gc.collect()
     started = time.perf_counter()
     two_tier_stream_races = 0
     escalations = 0

@@ -7,10 +7,11 @@ representations from the same large execution and replays an identical CHC
 query stream against each, validating they agree and comparing throughput
 and memory shape.  Three representations compete:
 
-* the graph with frozen-prefix ancestor caching (the live default);
+* ``AncestorSetGraph``: the graph with frozen-prefix ancestor caching (the
+  paper's traversal representation, kept as the reference);
 * the offline ``ChainVectorClocks`` ablation (build-once, then query);
-* the online ``IncrementalChainClocks`` backend that now powers
-  ``--hb-backend chains``, fed edge by edge exactly as a live run would.
+* the online ``IncrementalChainClocks`` engine that answers every live
+  ``--hb-backend`` query, fed edge by edge exactly as a live run would.
 """
 
 import random
@@ -18,7 +19,7 @@ import time
 
 from repro.browser.page import Browser
 from repro.core.hb.chains import IncrementalChainClocks
-from repro.core.hb.graph import HBGraph
+from repro.core.hb.graph import AncestorSetGraph
 from repro.core.hb.vector_clock import ChainVectorClocks
 
 
@@ -51,12 +52,13 @@ def query_stream(graph, count=20_000, seed=1):
 
 def test_graph_chc_throughput(benchmark):
     graph = big_page_graph()
+    reference = rebuilt(graph, AncestorSetGraph())
     queries = query_stream(graph)
 
     def run():
         hits = 0
         for a, b in queries:
-            if graph.concurrent(a, b):
+            if reference.concurrent(a, b):
                 hits += 1
         return hits
 
@@ -97,15 +99,19 @@ def test_incremental_chains_chc_throughput(benchmark):
     assert hits > 0
 
 
-def incremental_from(graph):
-    """Feed a finished graph's operations and edges through the online
-    backend, in the order a live run would deliver them."""
-    chains = IncrementalChainClocks()
+def rebuilt(graph, store):
+    """Feed a finished graph's operations and edges into a fresh ``store``,
+    in the order a live run would deliver them."""
     for op_id in graph.operation_ids():
-        chains.add_operation(op_id)
+        store.add_operation(op_id)
     for edge in sorted(graph.edges, key=lambda e: e.dst):
-        chains.add_edge(edge.src, edge.dst, edge.rule)
-    return chains
+        store.add_edge(edge.src, edge.dst, edge.rule)
+    return store
+
+
+def incremental_from(graph):
+    """The finished graph fed through the online clock engine."""
+    return rebuilt(graph, IncrementalChainClocks())
 
 
 def test_representations_agree_and_compare(benchmark):
@@ -115,9 +121,9 @@ def test_representations_agree_and_compare(benchmark):
     build_time = time.perf_counter() - build_start
     queries = query_stream(graph, count=30_000)
 
-    graph.invalidate_caches()
+    reference = rebuilt(graph, AncestorSetGraph())
     start = time.perf_counter()
-    graph_answers = [graph.concurrent(a, b) for a, b in queries]
+    graph_answers = [reference.concurrent(a, b) for a, b in queries]
     graph_time = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -172,38 +178,42 @@ def online_replay(graph, rep, queries_per_op=3, seed=1):
     return time.perf_counter() - start, queries, hits
 
 
-def test_online_backend_cost_at_corpus_scale(corpus):
+def test_online_backend_cost_at_corpus_scale(corpus, ancestor_set_store):
     """The tentpole measurement, two halves.
 
-    Live half: run real corpus sites through both backends and require
-    identical detection output at lower representation memory (the graph
-    stores frozen ancestor sets, chains store one small clock per op).
+    Live half: run real corpus sites through both engines and require
+    identical detection output at lower representation memory (the
+    reference stores frozen ancestor sets, chains store one small clock
+    per op).
 
     Replay half: re-drive the recorded graphs through fresh instances of
     each representation in live delivery order, timing only HB maintenance
     plus CHC queries — whole-page wall time is dominated by the JS
-    interpreter and cannot resolve the difference.  The graph pays
+    interpreter and cannot resolve the difference.  The reference pays
     O(ancestor-set) to freeze each newly queried operation; chains pay
     O(chains) per operation.  Chains must win per-query cost and memory."""
     from repro import WebRacer
 
     sites = corpus[:8]
     live = {}
-    graphs = []
-    for backend in ("graph", "chains"):
-        racer = WebRacer(seed=0, hb_backend=backend)
-        reports = [racer.check_site(site) for site in sites]
-        live[backend] = {
+
+    def run_live(engine):
+        reports = [WebRacer(seed=0).check_site(site) for site in sites]
+        live[engine] = {
             "queries": sum(r.page.monitor.detector.chc_queries for r in reports),
             "cells": sum(r.page.monitor.graph.memory_cells() for r in reports),
             "races": sum(len(r.raw_races) for r in reports),
         }
-        if backend == "graph":
-            graphs = [r.page.monitor.graph for r in reports]
+        return [r.page.monitor.graph for r in reports]
+
+    with ancestor_set_store():
+        graphs = run_live("ancestor sets")
+    assert all(isinstance(graph, AncestorSetGraph) for graph in graphs)
+    run_live("chains")
 
     replay = {}
     factories = {
-        "graph": lambda: HBGraph(),
+        "ancestor sets": lambda: AncestorSetGraph(),
         "chains": lambda: IncrementalChainClocks(),
     }
     for name, factory in factories.items():
@@ -223,17 +233,17 @@ def test_online_backend_cost_at_corpus_scale(corpus):
     print()
     print(f"Online HB backend cost on corpus-scale traces "
           f"({len(graphs)} sites, {ops} operations):")
-    for name in ("graph", "chains"):
+    for name in ("ancestor sets", "chains"):
         seconds, queries, _hits = replay[name]
-        print(f"  {name:8s}: {seconds * 1e6 / queries:6.2f} us/query "
+        print(f"  {name:13s}: {seconds * 1e6 / queries:6.2f} us/query "
               f"(maintenance incl., {queries} queries), "
               f"{live[name]['cells']} live memory cells")
 
     # Identical detection output on the live runs...
-    assert live["graph"]["races"] == live["chains"]["races"]
-    assert live["graph"]["queries"] == live["chains"]["queries"]
+    assert live["ancestor sets"]["races"] == live["chains"]["races"]
+    assert live["ancestor sets"]["queries"] == live["chains"]["queries"]
     # ...identical answers on the replayed query stream...
-    assert replay["graph"][1:] == replay["chains"][1:]
+    assert replay["ancestor sets"][1:] == replay["chains"][1:]
     # ...at lower per-query cost and a fraction of the memory.
-    assert replay["chains"][0] < replay["graph"][0]
-    assert live["chains"]["cells"] < live["graph"]["cells"]
+    assert replay["chains"][0] < replay["ancestor sets"][0]
+    assert live["chains"]["cells"] < live["ancestor sets"]["cells"]

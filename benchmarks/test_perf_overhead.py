@@ -93,23 +93,26 @@ def test_operation_heavy_page_under_a_minute(benchmark):
     assert elapsed < 60.0
 
 
-def test_hb_backend_overhead(benchmark):
-    """E8 extension: ``--hb-backend chains`` on an operation-heavy page.
+def test_hb_backend_overhead(benchmark, ancestor_set_store):
+    """E8 extension: chain clocks vs. frozen ancestor sets on an
+    operation-heavy page.
 
-    The chain-clock engine must produce the identical trace and race
-    stream while holding far less query-engine state than the graph's
-    frozen ancestor sets; wall time per page is reported for both."""
+    The chain-clock engine (every ``--hb-backend`` name's live store) must
+    produce the identical trace and race stream while holding far less
+    query-engine state than the paper's frozen ancestor sets; wall time
+    per page is reported for both."""
+    from repro.core.hb.graph import AncestorSetGraph
+
     blocks = "".join(
         f"<div id='d{i}'></div><script>t{i % 7} = {i};</script>" for i in range(1200)
     )
     benchmark.pedantic(lambda: Browser(seed=0).load(blocks), rounds=1, iterations=1)
 
-    results = {}
-    for backend in ("graph", "chains"):
+    def measure():
         start = time.perf_counter()
-        page = Browser(seed=0, hb_backend=backend).load(blocks)
+        page = Browser(seed=0).load(blocks)
         elapsed = time.perf_counter() - start
-        results[backend] = {
+        return page, {
             "time": elapsed,
             "queries": page.monitor.detector.chc_queries,
             "cells": page.monitor.graph.memory_cells(),
@@ -117,17 +120,23 @@ def test_hb_backend_overhead(benchmark):
             "races": len(page.monitor.detector.races),
         }
 
+    with ancestor_set_store():
+        reference_page, reference_r = measure()
+    chains_page, chains_r = measure()
+    assert isinstance(reference_page.monitor.graph, AncestorSetGraph)
+    assert not isinstance(chains_page.monitor.graph, AncestorSetGraph)
+    results = {"ancestor sets": reference_r, "chains": chains_r}
+
     print()
-    print("HB backend overhead on an operation-heavy page (E8 extension):")
+    print("HB engine overhead on an operation-heavy page (E8 extension):")
     for name, r in results.items():
-        print(f"  {name:8s}: {r['time'] * 1000:8.1f} ms/page, "
+        print(f"  {name:13s}: {r['time'] * 1000:8.1f} ms/page, "
               f"{r['queries']} CHC queries, {r['cells']} query-engine cells")
 
-    graph_r, chains_r = results["graph"], results["chains"]
-    assert chains_r["accesses"] == graph_r["accesses"]
-    assert chains_r["races"] == graph_r["races"]
-    assert chains_r["queries"] == graph_r["queries"]
-    assert chains_r["cells"] < graph_r["cells"]
+    assert chains_r["accesses"] == reference_r["accesses"]
+    assert chains_r["races"] == reference_r["races"]
+    assert chains_r["queries"] == reference_r["queries"]
+    assert chains_r["cells"] < reference_r["cells"]
     # ~2x end-to-end on this page (O(V) ancestor freezes dominate the
-    # graph backend at this scale); assert with generous headroom.
-    assert chains_r["time"] < graph_r["time"] * 1.5
+    # reference at this scale); assert with generous headroom.
+    assert chains_r["time"] < reference_r["time"] * 1.5

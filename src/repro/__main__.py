@@ -76,10 +76,11 @@ to ``DIR/ledger.jsonl`` — the persistent cross-run store ``history`` and
 zero-overhead guarantee holds unchanged.
 
 All commands accept ``--hb-backend {graph,chains,crosscheck,shb}`` to
-select the happens-before representation answering CHC queries: the
-paper's graph with frozen ancestor sets (default), incremental chain
-vector clocks, or both cross-checked against each other (slow; raises on
-any disagreement).  ``shb`` answers online queries like ``chains`` and
+select the happens-before store answering CHC queries: ``graph``
+(default) and ``chains`` both answer from incremental chain vector clocks
+over the paper's graph; ``crosscheck`` also checks every answer against
+the paper's frozen ancestor sets (slow; raises on any disagreement).
+``shb`` answers online queries like ``chains`` and
 additionally runs the predictive SHB sweep after detection (``check`` /
 ``analyze`` print predicted races alongside observed ones).
 

@@ -351,7 +351,7 @@ class _DomHooks(DomInstrumentation):
     def __init__(self, monitor: Monitor):
         self.monitor = monitor
 
-    def element_inserted(self, element: Element, parent: Node, index: int) -> None:
+    def element_inserted(self, element: Element, parent: Node) -> None:
         """HElem + structural writes for an insertion (Section 4.2)."""
         monitor = self.monitor
         monitor.note_created(element)

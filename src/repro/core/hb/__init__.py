@@ -9,7 +9,7 @@ from .backend import (
     make_backend,
 )
 from .chains import IncrementalChainClocks
-from .graph import Edge, HBGraph, chc, transitive_closure_pairs
+from .graph import AncestorSetGraph, Edge, HBGraph, chc, transitive_closure_pairs
 from .rules import ALL_RULES, RuleEngine
 from .shb import (
     SHB_RF_RULE,
@@ -32,6 +32,7 @@ from .witness import (
 
 __all__ = [
     "ALL_RULES",
+    "AncestorSetGraph",
     "BackendDisagreement",
     "ChainBackedGraph",
     "ChainVectorClocks",

@@ -3,20 +3,21 @@
 The monitor needs two things from its happens-before store: the *graph
 structure* (labeled edges for serialization, rule audits, and reports) and
 *CHC answers* (one ``concurrent`` query per memory access — the hottest
-path in the system).  :class:`~repro.core.hb.graph.HBGraph` provides both,
-answering queries from frozen-prefix ancestor sets at O(V) per operation
-and O(V²) worst-case memory.  The backends here keep the graph structure
-identical and swap the query engine:
+path in the system).  :class:`~repro.core.hb.graph.HBGraph` provides both
+from one copy of the edges, answering queries from the incremental chain
+clocks of :mod:`repro.core.hb.chains` (O(C) amortized per operation, C =
+chain count).  The backend names select:
 
-* ``"graph"`` — plain :class:`HBGraph` (the paper's representation);
-* ``"chains"`` — :class:`ChainBackedGraph`: structure in the graph, CHC
-  answers from :class:`~repro.core.hb.chains.IncrementalChainClocks`
-  (O(C) amortized per operation, C = chain count);
-* ``"crosscheck"`` — :class:`CrosscheckGraph`: runs both engines on every
-  query and raises :class:`BackendDisagreement` on any mismatch.  Slow;
-  exists to validate the fast path against the reference one.
+* ``"graph"`` and ``"chains"`` — the same engine, :class:`HBGraph`.  Both
+  names stay valid so CLI choices, report ``hb_backend`` fields and ledger
+  digests keep their meaning; :data:`ChainBackedGraph` is kept as an alias;
+* ``"crosscheck"`` — :class:`CrosscheckGraph`: answers every query from the
+  clocks *and* from the frozen ancestor sets of
+  :class:`~repro.core.hb.graph.AncestorSetGraph` (the paper's traversal
+  representation) and raises :class:`BackendDisagreement` on any mismatch.
+  Slow; exists to validate the clocks against the reference;
 * ``"shb"`` — :class:`~repro.core.hb.shb.ShbGraph`: answers online
-  queries exactly like ``chains`` but marks the run as *predictive* —
+  queries exactly like ``graph`` but marks the run as *predictive* —
   pipelines that see ``is_predictive`` follow detection with the offline
   schedulable-happens-before sweep (:func:`repro.core.hb.shb.predict_races`)
   and report races predicted for other schedules of the same trace.
@@ -29,8 +30,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Protocol, runtime_checkable
 
-from .chains import IncrementalChainClocks
-from .graph import HBGraph
+from .graph import AncestorSetGraph, HBGraph
 
 HB_BACKENDS = ("graph", "chains", "crosscheck", "shb")
 
@@ -63,71 +63,35 @@ class HBBackend(Protocol):
 
 
 class BackendDisagreement(AssertionError):
-    """The graph and chain backends answered one query differently."""
+    """The chain clocks and the ancestor-set reference answered one query
+    differently."""
 
 
-class ChainBackedGraph(HBGraph):
-    """An HBGraph whose queries are answered by incremental chain clocks.
-
-    Construction calls feed both the graph structure (kept for edges,
-    serialization and introspection) and the clocks; ``happens_before`` /
-    ``concurrent`` never touch the ancestor cache, so the O(V²) frozen
-    ancestor sets are simply never built.
-    """
-
-    def __init__(self, assert_forward: bool = True, obs=None):
-        super().__init__(assert_forward=assert_forward, obs=obs)
-        self.clocks = IncrementalChainClocks(
-            assert_forward=assert_forward, obs=self.obs
-        )
-
-    def add_operation(self, op_id: int) -> None:
-        super().add_operation(op_id)
-        self.clocks.add_operation(op_id)
-
-    def add_edge(self, src: int, dst: int, rule: str = "") -> bool:
-        added = super().add_edge(src, dst, rule)
-        if added:
-            self.clocks.add_edge(src, dst, rule)
-        return added
-
-    def happens_before(self, a: int, b: int) -> bool:
-        return self.clocks.happens_before(a, b)
-
-    def concurrent(self, a: int, b: int) -> bool:
-        return self.clocks.concurrent(a, b)
-
-    def memory_cells(self) -> int:
-        return self.clocks.memory_cells()
+#: The ``chains`` backend's former class, kept for existing imports: the
+#: graph now answers from chain clocks itself.
+ChainBackedGraph = HBGraph
 
 
-class CrosscheckGraph(HBGraph):
+class CrosscheckGraph(AncestorSetGraph):
     """Answers every query from both engines and demands they agree."""
 
     def __init__(self, assert_forward: bool = True, obs=None):
         super().__init__(assert_forward=assert_forward, obs=obs)
-        self.clocks = IncrementalChainClocks(
-            assert_forward=assert_forward, obs=self.obs
-        )
         self.queries_checked = 0
 
-    def add_operation(self, op_id: int) -> None:
-        super().add_operation(op_id)
-        self.clocks.add_operation(op_id)
-
-    def add_edge(self, src: int, dst: int, rule: str = "") -> bool:
-        added = super().add_edge(src, dst, rule)
-        if added:
-            self.clocks.add_edge(src, dst, rule)
-        return added
+    # Construction is the reference's, which refuses edges into an
+    # operation either engine has answered for.  Bound here, like
+    # HBGraph's queries, so the class defines its whole surface itself.
+    add_operation = AncestorSetGraph.add_operation
+    add_edge = AncestorSetGraph.add_edge
 
     def happens_before(self, a: int, b: int) -> bool:
-        graph_answer = super().happens_before(a, b)
-        chain_answer = self.clocks.happens_before(a, b)
+        graph_answer = AncestorSetGraph.happens_before(self, a, b)
+        chain_answer = HBGraph.happens_before(self, a, b)
         self.queries_checked += 1
         if graph_answer != chain_answer:
             raise BackendDisagreement(
-                f"happens_before({a}, {b}): graph says {graph_answer}, "
+                f"happens_before({a}, {b}): ancestor sets say {graph_answer}, "
                 f"chain clocks say {chain_answer}"
             )
         return graph_answer
@@ -139,7 +103,7 @@ class CrosscheckGraph(HBGraph):
         return not self.happens_before(a, b) and not self.happens_before(b, a)
 
     def memory_cells(self) -> int:
-        return super().memory_cells() + self.clocks.memory_cells()
+        return AncestorSetGraph.memory_cells(self) + HBGraph.memory_cells(self)
 
 
 def make_backend(name: str, assert_forward: bool = True, obs=None) -> HBGraph:
@@ -149,10 +113,8 @@ def make_backend(name: str, assert_forward: bool = True, obs=None) -> HBGraph:
     serialization and rule audits work unchanged regardless of selection.
     ``obs`` is the instrumentation sink edge/chain counters report to.
     """
-    if name == "graph":
+    if name in ("graph", "chains"):
         return HBGraph(assert_forward=assert_forward, obs=obs)
-    if name == "chains":
-        return ChainBackedGraph(assert_forward=assert_forward, obs=obs)
     if name == "crosscheck":
         return CrosscheckGraph(assert_forward=assert_forward, obs=obs)
     if name == "shb":

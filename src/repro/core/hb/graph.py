@@ -1,28 +1,37 @@
 """Happens-before graph (paper, Section 5.2.1).
 
 WebRacer "represents the happens-before relation rather directly as a graph
-structure".  We do the same, with one optimization the paper's overhead
-discussion motivates: *frozen-prefix ancestor caching*.
+structure" and answers CHC queries by walking it.  :class:`HBGraph` keeps
+the same graph — rule-labeled edges for serialization, rule audits, witness
+paths and SHB prediction — but answers queries from the incremental chain
+clocks of :mod:`repro.core.hb.chains` that it extends, the "more efficient
+vector-clock representation" the paper names as future work.  Each edge is
+stored once: the clocks read the graph's own predecessor lists and rule
+labels.
 
 The browser adds operations in execution order and obeys the discipline
 that **every incoming edge of an operation is added before that operation
 performs its first access** (edges go from older to newer operations — all
 17 rules order an existing operation before one being created or about to
 run).  Consequently, when operation ``b`` starts executing, the subgraph of
-operations with id ≤ ``b`` is frozen: its ancestor set can be computed once
-and cached.  CHC queries during ``b``'s execution — the hot path, one per
-memory access — then become two set-membership tests.
-
+operations with id ≤ ``b`` is frozen, and its clocks can be finalized once.
 The invariant is checked on every ``add_edge`` so a buggy rule application
 fails loudly instead of corrupting reachability.
+
+:class:`AncestorSetGraph` is the paper's traversal representation with
+frozen-prefix ancestor caching: the same graph, with each queried
+operation's ancestor set computed once and cached.  It costs O(V) per
+operation and O(V²) memory, so it stays off the live path; the
+``crosscheck`` backend, the E8/E9 ablations and tests use it as the
+reference the clocks must agree with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
-from ...obs import NULL
+from .chains import IncrementalChainClocks
 
 
 @dataclass(frozen=True)
@@ -34,67 +43,106 @@ class Edge:
     rule: str = ""
 
 
-class HBGraph:
-    """A DAG over operation ids with cached backward reachability."""
+class HBGraph(IncrementalChainClocks):
+    """A DAG over operation ids with chain-clock reachability queries."""
 
     def __init__(self, assert_forward: bool = True, obs=None):
-        self.assert_forward = assert_forward
-        self.obs = obs if obs is not None else NULL
+        super().__init__(assert_forward=assert_forward, obs=obs)
         self._succ: Dict[int, List[int]] = {}
-        self._pred: Dict[int, List[int]] = {}
-        self._edges: List[Edge] = []
-        #: (src, dst) -> rule label; doubles as the edge-membership set.
-        self._edge_rules: Dict[Tuple[int, int], str] = {}
-        self._ancestor_cache: Dict[int, FrozenSet[int]] = {}
 
     # ------------------------------------------------------------------
     # construction
 
     def add_operation(self, op_id: int) -> None:
         """Register an operation (idempotent)."""
-        self._succ.setdefault(op_id, [])
         self._pred.setdefault(op_id, [])
+        self._succ.setdefault(op_id, [])
 
     def add_edge(self, src: int, dst: int, rule: str = "") -> bool:
         """Add ``src ≺ dst``; returns False if the edge already existed.
 
         Enforces the forward discipline (``src < dst``) and rejects edges
-        into an operation whose ancestor set was already cached (that would
-        silently invalidate reachability answers).
+        into an operation that was already queried.
         """
-        if src == dst:
+        if not IncrementalChainClocks.add_edge(self, src, dst, rule):
             return False
-        if self.assert_forward and src > dst:
-            raise ValueError(
-                f"backward happens-before edge {src} -> {dst} (rule {rule!r}); "
-                "edges must point from older to newer operations"
-            )
-        if dst in self._ancestor_cache:
+        succ = self._succ
+        succ.setdefault(src, []).append(dst)
+        succ.setdefault(dst, [])
+        return True
+
+    # ------------------------------------------------------------------
+    # queries: the chain clocks' own, bound here so that every backend
+    # class defines its full query surface itself (per-class method
+    # wrappers such as perfbench's layer tracer rely on that)
+
+    happens_before = IncrementalChainClocks.happens_before
+    concurrent = IncrementalChainClocks.concurrent
+    chc = IncrementalChainClocks.chc
+
+    # ------------------------------------------------------------------
+    # structure (serialization, rule audits, reports, SHB)
+
+    @property
+    def edges(self) -> List[Edge]:
+        """All edges in insertion order, with their rule labels."""
+        return [
+            Edge(src, dst, rule) for (src, dst), rule in self._edge_rules.items()
+        ]
+
+    def edges_by_rule(self, rule: str) -> List[Edge]:
+        """Edges introduced by one named rule."""
+        return [edge for edge in self.edges if edge.rule == rule]
+
+    def successors(self, op_id: int) -> List[int]:
+        """Direct HB successors of an operation."""
+        return list(self._succ.get(op_id, ()))
+
+    def edge_count(self) -> int:
+        """Number of edges in the graph."""
+        return len(self._edge_rules)
+
+    def has_path_uncached(self, a: int, b: int) -> bool:
+        """Reference reachability by plain DFS (used to cross-check caches)."""
+        if a == b:
+            return False
+        seen: Set[int] = set()
+        stack = [a]
+        while stack:
+            node = stack.pop()
+            for successor in self._succ.get(node, ()):
+                if successor == b:
+                    return True
+                if successor not in seen and successor <= b:
+                    seen.add(successor)
+                    stack.append(successor)
+        return False
+
+
+class AncestorSetGraph(HBGraph):
+    """The reference engine: queries answered from frozen ancestor sets.
+
+    Each queried operation's ancestor set is computed once and cached —
+    safe because the ≤ ``op_id`` subgraph is frozen by then (see the
+    module docstring).  The clocks are never consulted.
+    """
+
+    def __init__(self, assert_forward: bool = True, obs=None):
+        super().__init__(assert_forward=assert_forward, obs=obs)
+        self._ancestor_cache: Dict[int, FrozenSet[int]] = {}
+
+    def add_edge(self, src: int, dst: int, rule: str = "") -> bool:
+        """Like :meth:`HBGraph.add_edge`, also rejecting edges into an
+        operation whose ancestor set was already cached."""
+        if src != dst and dst in self._ancestor_cache:
             raise ValueError(
                 f"edge {src} -> {dst} (rule {rule!r}) added after operation "
                 f"{dst} was queried; incoming edges must precede execution"
             )
-        if (src, dst) in self._edge_rules:
-            return False
-        self.add_operation(src)
-        self.add_operation(dst)
-        self._succ[src].append(dst)
-        self._pred[dst].append(src)
-        self._edge_rules[(src, dst)] = rule
-        self._edges.append(Edge(src, dst, rule))
-        if self.obs.enabled:
-            self.obs.count("hb.edge")
-        return True
-
-    # ------------------------------------------------------------------
-    # queries
+        return HBGraph.add_edge(self, src, dst, rule)
 
     def ancestors(self, op_id: int) -> FrozenSet[int]:
-        """All operations that happen before ``op_id`` (transitively).
-
-        Cached; safe because the ≤ ``op_id`` subgraph is frozen by the time
-        anyone asks (see module docstring).
-        """
+        """All operations that happen before ``op_id`` (transitively)."""
         cached = self._ancestor_cache.get(op_id)
         if cached is not None:
             return cached
@@ -134,82 +182,16 @@ class HBGraph:
             return False
         return not self.happens_before(a, b) and not self.happens_before(b, a)
 
-    def chc(self, a: int, b: int) -> bool:
-        """Can-Happen-Concurrently with ⊥ (id 0) handling."""
-        if a == 0 or b == 0:
-            return False
-        return self.concurrent(a, b)
-
-    # ------------------------------------------------------------------
-    # introspection (tests, benchmarks, reports)
-
     def memory_cells(self) -> int:
-        """Total cached ancestor-set entries — the query engine's memory
-        footprint (compare :meth:`IncrementalChainClocks.memory_cells`)."""
+        """Total cached ancestor-set entries — the reference engine's
+        memory footprint (compare :meth:`IncrementalChainClocks.memory_cells`)."""
         return sum(len(ancestors) for ancestors in self._ancestor_cache.values())
-
-    @property
-    def edges(self) -> List[Edge]:
-        """All edges, with their rule labels."""
-        return list(self._edges)
-
-    def edges_by_rule(self, rule: str) -> List[Edge]:
-        """Edges introduced by one named rule."""
-        return [edge for edge in self._edges if edge.rule == rule]
-
-    def edge_rule(self, src: int, dst: int) -> Optional[str]:
-        """The rule that introduced the direct edge ``src ≺ dst``.
-
-        Returns ``None`` when no such direct edge exists.  Witness-path
-        queries (:mod:`repro.core.hb.witness`) use this to annotate each
-        step of an HB ancestry chain with its paper rule.
-        """
-        return self._edge_rules.get((src, dst))
-
-    def operation_ids(self) -> List[int]:
-        """All registered operation ids, sorted."""
-        return sorted(self._succ.keys())
-
-    def successors(self, op_id: int) -> List[int]:
-        """Direct HB successors of an operation."""
-        return list(self._succ.get(op_id, ()))
-
-    def predecessors(self, op_id: int) -> List[int]:
-        """Direct HB predecessors of an operation."""
-        return list(self._pred.get(op_id, ()))
-
-    def edge_count(self) -> int:
-        """Number of edges in the graph."""
-        return len(self._edges)
-
-    def has_path_uncached(self, a: int, b: int) -> bool:
-        """Reference reachability by plain DFS (used to cross-check caches)."""
-        if a == b:
-            return False
-        seen: Set[int] = set()
-        stack = [a]
-        while stack:
-            node = stack.pop()
-            for successor in self._succ.get(node, ()):
-                if successor == b:
-                    return True
-                if successor not in seen and successor <= b:
-                    seen.add(successor)
-                    stack.append(successor)
-        return False
-
-    def invalidate_caches(self) -> None:
-        """Drop ancestor caches (only needed by offline experiments)."""
-        self._ancestor_cache.clear()
 
 
 def transitive_closure_pairs(graph: HBGraph) -> Set[Tuple[int, int]]:
     """All ordered pairs (a, b) with a ≺ b.  For small test graphs only."""
-    pairs: Set[Tuple[int, int]] = set()
-    for b in graph.operation_ids():
-        for a in graph.ancestors(b):
-            pairs.add((a, b))
-    return pairs
+    nodes = graph.operation_ids()
+    return {(a, b) for b in nodes for a in nodes if graph.happens_before(a, b)}
 
 
 def chc(graph: HBGraph, a: int, b: int) -> bool:

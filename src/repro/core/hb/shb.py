@@ -51,7 +51,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..detector import Race, RaceDetector
 from ..full_detector import FullHistoryDetector
 from ..trace import Trace
-from .backend import ChainBackedGraph, HBBackend
+from .backend import HBBackend
 from .graph import HBGraph
 
 #: Rule label carried by reads-from edges in the SHB graph, so witness
@@ -64,13 +64,13 @@ STATUS_SCHEDULABLE = "schedulable"
 STATUS_CONDITIONAL = "conditional"
 
 
-class ShbGraph(ChainBackedGraph):
+class ShbGraph(HBGraph):
     """The ``"shb"`` happens-before backend for the online seam.
 
-    Online it behaves exactly like the ``chains`` backend — detection
-    under ``--hb-backend shb`` matches ``chains``/``graph`` query for
-    query.  The marker attribute is what changes the pipeline: callers
-    that see ``is_predictive`` run the offline :func:`predict_races`
+    Online it is the ``graph``/``chains`` engine — detection under
+    ``--hb-backend shb`` matches ``chains``/``graph`` query for query.
+    The marker attribute is what changes the pipeline: callers that see
+    ``is_predictive`` run the offline :func:`predict_races`
     sweep over the finished trace and surface predicted races alongside
     the observed ones.
     """
@@ -190,7 +190,7 @@ def build_shb(
     id to a lower one (creation order is not execution order), so the
     graph is built with ``assert_forward=False`` and **fully constructed
     before any query** — :class:`HBGraph` refuses edges into an operation
-    whose ancestor set is already cached.
+    that was already queried.
     """
     shb = HBGraph(assert_forward=False)
     for op in trace.operations:
@@ -207,9 +207,9 @@ def _shb_path(
     shb: HBGraph, a: int, b: int, skip: Set[Tuple[int, int]]
 ) -> Optional[List[int]]:
     """A directed SHB path ``a -> ... -> b`` avoiding the edges in
-    ``skip``, or ``None``.  Plain DFS with parent pointers — the
-    ancestor cache cannot answer this because the pair's own direct edge
-    must not count as an ordering constraint."""
+    ``skip``, or ``None``.  Plain DFS with parent pointers — the chain
+    clocks cannot answer this because the pair's own direct edge must not
+    count as an ordering constraint."""
     if a == b:
         return None
     parents: Dict[int, int] = {}

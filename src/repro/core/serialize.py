@@ -240,6 +240,9 @@ def trace_from_dict(data: Dict[str, Any], hb_backend: str = "graph") -> LoadedTr
         graph.add_operation(op_id)
     for edge in data["edges"]:
         graph.add_edge(edge["src"], edge["dst"], edge["rule"])
+    # A cyclic edge list is corrupt input: finalizing every clock now
+    # rejects it as a load error instead of failing mid-detection.
+    graph.finalize_all()
     for access_data in data["accesses"]:
         trace.record(
             Access(

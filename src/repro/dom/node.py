@@ -95,10 +95,6 @@ class Node:
             node = node.parent
         return node
 
-    def child_index(self, child: "Node") -> int:
-        """Index of ``child`` in this node's children."""
-        return self.children.index(child)
-
     def contains(self, other: "Node") -> bool:
         """Is ``other`` this node or a descendant of it?"""
         node: Optional[Node] = other

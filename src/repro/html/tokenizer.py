@@ -10,6 +10,7 @@ JavaScript containing ``<`` doesn't confuse the tokenizer).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Union
 
@@ -21,6 +22,11 @@ VOID_TAGS = frozenset(
 
 #: Tags whose content is raw text up to the matching end tag.
 RAW_TEXT_TAGS = frozenset(["script", "style"])
+
+#: ``</tag`` for each raw-text tag, matched ASCII case-insensitively.
+_RAW_TEXT_CLOSE = {
+    tag: re.compile(f"</{tag}", re.IGNORECASE | re.ASCII) for tag in RAW_TEXT_TAGS
+}
 
 
 @dataclass
@@ -189,13 +195,12 @@ class HtmlTokenizer:
 
     def _read_raw_text(self, tag: str):
         """Raw content until ``</tag>``; returns (text, EndTag-or-None)."""
-        close = f"</{tag}"
-        lower = self.source.lower()
-        index = lower.find(close, self.pos)
-        if index == -1:
+        match = _RAW_TEXT_CLOSE[tag].search(self.source, self.pos)
+        if match is None:
             data = self.source[self.pos :]
             self.pos = len(self.source)
             return data, None
+        index = match.start()
         data = self.source[self.pos : index]
         end = self.source.find(">", index)
         self.pos = len(self.source) if end == -1 else end + 1

@@ -24,6 +24,13 @@ class TestScriptScheduling:
         )
         assert page.interpreter.global_object.get_own("result") == "abc"
 
+    def test_script_after_length_changing_lowercase_text_runs(self):
+        """``"İ".lower()`` is two characters long; text before a script
+        must not shift where its ``</script>`` is found."""
+        page = load("<p>İİİİ</p><script>var a = 1;</script>")
+        assert page.interpreter.global_object.get_own("a") == 1
+        assert not page.trace.crashes
+
     def test_sync_script_blocks_parsing(self):
         """Elements after a synchronous script must not exist while the
         script runs (rule 1c's operational counterpart)."""

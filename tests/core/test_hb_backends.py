@@ -1,10 +1,11 @@
 """Cross-validation of the three happens-before representations.
 
-``HBGraph`` (frozen ancestor sets), the offline ``ChainVectorClocks``
-ablation, and the online ``IncrementalChainClocks`` backend must answer
-every ``happens_before``/``concurrent`` query identically — on random
-DAGs, under online interleaving of construction and queries, and on real
-traces produced by corpus page loads.
+``AncestorSetGraph`` (the frozen-ancestor-set reference), the offline
+``ChainVectorClocks`` ablation, and the online ``IncrementalChainClocks``
+engine behind ``HBGraph`` must answer every ``happens_before``/
+``concurrent`` query identically — on random DAGs, under online
+interleaving of construction and queries, and on real traces produced by
+corpus page loads.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -17,13 +18,14 @@ from repro.core.hb.backend import (
     make_backend,
 )
 from repro.core.hb.chains import IncrementalChainClocks
-from repro.core.hb.graph import HBGraph
+from repro.core.hb.graph import AncestorSetGraph, HBGraph
 from repro.core.hb.vector_clock import ChainVectorClocks
 
 
 def build_all(edges, nodes=()):
-    """The same DAG as a graph, offline clocks, and incremental clocks."""
-    graph = HBGraph()
+    """The same DAG as the reference graph, offline clocks, and
+    incremental clocks."""
+    graph = AncestorSetGraph()
     chains = IncrementalChainClocks()
     for node in nodes:
         graph.add_operation(node)
@@ -65,7 +67,7 @@ def test_online_queries_match_offline_answers(edges):
     """Frozen-prefix discipline: deliver edges grouped by destination in
     increasing order, querying after each group — the answers given mid-
     construction must equal the answers computed from the finished DAG."""
-    reference = HBGraph()
+    reference = AncestorSetGraph()
     for src, dst in edges:
         reference.add_edge(src, dst)
 
@@ -107,17 +109,23 @@ def test_backends_agree_on_real_corpus_traces(site_index):
     assert signature(baseline) == signature(checked)
     assert checked.page.monitor.graph.queries_checked > 0
 
-    # Exhaustive pairwise agreement on the finished trace.
+    # Exhaustive pairwise agreement on the finished trace: the live
+    # engine, fresh clocks and the ancestor-set reference.
     graph = baseline.page.monitor.graph
     rebuilt = IncrementalChainClocks()
+    reference = AncestorSetGraph()
     for op_id in graph.operation_ids():
         rebuilt.add_operation(op_id)
+        reference.add_operation(op_id)
     for edge in graph.edges:
         rebuilt.add_edge(edge.src, edge.dst, edge.rule)
+        reference.add_edge(edge.src, edge.dst, edge.rule)
     nodes = graph.operation_ids()
     for a in nodes:
         for b in nodes:
-            assert rebuilt.happens_before(a, b) == graph.happens_before(a, b)
+            expected = reference.happens_before(a, b)
+            assert rebuilt.happens_before(a, b) == expected
+            assert graph.happens_before(a, b) == expected
 
 
 class TestIncrementalInvariants:
@@ -192,6 +200,8 @@ class TestBackendFactory:
     def test_names(self):
         assert isinstance(make_backend("graph"), HBGraph)
         assert isinstance(make_backend("chains"), ChainBackedGraph)
+        # "graph" and "chains" name one engine.
+        assert type(make_backend("graph")) is type(make_backend("chains"))
         assert isinstance(make_backend("crosscheck"), CrosscheckGraph)
         with pytest.raises(ValueError, match="unknown hb backend"):
             make_backend("nope")
@@ -204,9 +214,10 @@ class TestBackendFactory:
         assert [e.rule for e in backend.edges_by_rule("1a:static-order")]
         assert backend.happens_before(1, 3)
         assert not backend.concurrent(1, 2)
-        # Queries never populate the ancestor cache.
-        assert backend._ancestor_cache == {}
-        assert backend.memory_cells() == backend.clocks.memory_cells()
+        # Queries are answered by clocks, never by ancestor sets: one
+        # clock entry per operation on this single chain.
+        assert not isinstance(backend, AncestorSetGraph)
+        assert backend.memory_cells() == 3
 
     def test_crosscheck_detects_disagreement(self):
         backend = make_backend("crosscheck")
@@ -215,7 +226,7 @@ class TestBackendFactory:
         assert backend.queries_checked == 1
         # Sabotage the chain side: claim op 1 sits unreachably high on its
         # chain, so the two engines must now disagree on 1 ≺ 2.
-        backend.clocks.position[1] = (0, 99)
+        backend.position[1] = (0, 99)
         with pytest.raises(BackendDisagreement):
             backend.happens_before(1, 2)
 

@@ -11,8 +11,8 @@ class RecordingInstrumentation(DomInstrumentation):
         self.reads = []
         self.collections = []
 
-    def element_inserted(self, element, parent, index):
-        self.inserted.append((element, parent, index))
+    def element_inserted(self, element, parent):
+        self.inserted.append((element, parent))
 
     def element_removed(self, element, parent):
         self.removed.append((element, parent))

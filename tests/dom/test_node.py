@@ -75,8 +75,3 @@ class TestTraversal:
         assert a.contains(c)
         assert not b.contains(c)
         assert root.contains(root)
-
-    def test_child_index(self):
-        root, a, b, *_rest = self.make_tree()
-        assert root.child_index(a) == 0
-        assert root.child_index(b) == 1

@@ -102,6 +102,20 @@ class TestScriptsRawText:
         tokens = tokenize_html("<style>a > b { color: red }</style>")
         assert "a > b" in tokens[1].data
 
+    def test_end_tag_case_insensitive(self):
+        tokens = tokenize_html("<script>var a = 1;</SCRIPT><p></p>")
+        assert tokens[1].data == "var a = 1;"
+        assert isinstance(tokens[2], EndTag) and tokens[2].name == "script"
+        assert isinstance(tokens[3], StartTag) and tokens[3].name == "p"
+
+    def test_length_changing_lowercase_before_script(self):
+        # "İ".lower() is two characters long; the end tag must still be
+        # found at its offset in the original source.
+        tokens = tokenize_html("<p>İİİİ</p><script>var a = 1;</script>")
+        texts = [token.data for token in tokens if isinstance(token, Text)]
+        assert texts == ["İİİİ", "var a = 1;"]
+        assert isinstance(tokens[-1], EndTag) and tokens[-1].name == "script"
+
 
 class TestCommentsAndDoctype:
     def test_comment(self):

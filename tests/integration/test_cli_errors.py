@@ -63,6 +63,23 @@ class TestAnalyzeExplainErrors:
         assert err.startswith(f"error: corrupt trace '{trace}'")
         assert len(err.strip().splitlines()) == 1
 
+    def test_analyze_cyclic_trace(self, tmp_path, page_file, capsys):
+        """A hand-edited trace whose edges form a cycle is corrupt input,
+        not a hang or a traceback."""
+        import json
+
+        trace = tmp_path / "cyclic.json"
+        main(["check", page_file, "--json", str(trace)])
+        capsys.readouterr()
+        data = json.loads(trace.read_text())
+        edge = data["edges"][0]
+        data["edges"].append({"src": edge["dst"], "dst": edge["src"], "rule": "x"})
+        trace.write_text(json.dumps(data))
+        assert main(["analyze", str(trace)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: corrupt trace '{trace}': happens-before cycle")
+        assert len(err.strip().splitlines()) == 1
+
     def test_analyze_trace_is_directory(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path)]) == 2
         err = capsys.readouterr().err
