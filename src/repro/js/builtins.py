@@ -21,7 +21,13 @@ import random
 from typing import Any, List, Optional
 
 from .errors import JSErrorValue, JSThrow
-from .interpreter import Interpreter, format_number, to_number, to_string
+from .interpreter import (
+    ERROR_CONSTRUCTORS,
+    Interpreter,
+    format_number,
+    to_number,
+    to_string,
+)
 from .values import NULL, UNDEFINED, JSArray, JSObject, NativeFunction
 
 
@@ -155,14 +161,18 @@ def install_builtins(
     define("Array", native("Array", js_array))
     define("Object", native("Object", lambda i, t, a: JSObject()))
 
-    def js_error(interp, this, args):
-        message = to_string(args[0]) if args else ""
-        error = JSObject()
-        error.set_own("name", "Error")
-        error.set_own("message", message)
-        return error
+    def error_constructor(name):
+        def js_error(interp, this, args):
+            message = to_string(args[0]) if args else ""
+            error = JSObject()
+            error.set_own("name", name)
+            error.set_own("message", message)
+            return error
 
-    define("Error", native("Error", js_error))
+        return native(name, js_error)
+
+    for name in ERROR_CONSTRUCTORS:
+        define(name, error_constructor(name))
 
     # -- console ---------------------------------------------------------
     console = JSObject()

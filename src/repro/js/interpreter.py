@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional
 
 from . import ast
-from .errors import JSThrow, reference_error, type_error
+from .errors import JSErrorValue, JSThrow, range_error, reference_error, type_error
 from .scope import ObjectScope, Scope, hoisted_declarations
 from .values import (
     NULL,
@@ -42,6 +42,17 @@ from .values import (
 
 class BudgetExceeded(Exception):
     """Raised when a script exceeds the interpreter's step budget."""
+
+
+#: Deepest chain of active JavaScript function calls; one more throws a
+#: ``RangeError``, as a browser's stack overflow does.  A call takes 8
+#: Python frames when it returns a call directly and about 22 when the
+#: recursive call sits inside ``for``/``if``/``try``, so 32 calls keep a
+#: runaway recursion inside Python's default recursion limit of 1000.
+MAX_CALL_DEPTH = 32
+
+#: Error constructors ``instanceof`` recognises on errors the engine throws.
+ERROR_CONSTRUCTORS = ("Error", "TypeError", "ReferenceError", "RangeError")
 
 
 class AccessHooks:
@@ -125,6 +136,7 @@ class Interpreter:
         self.this_value = this_value if this_value is not None else self.global_object
         self.max_steps = max_steps
         self._steps = 0
+        self._call_depth = 0
         #: Scope-lookup names that should not be instrumented as global
         #: reads — host-global fallbacks like ``document`` handled by the
         #: browser bindings.  Populated by the bindings layer.
@@ -707,14 +719,20 @@ class Interpreter:
         raise type_error(f"{label} is not a function")
 
     def _call_js_function(self, fn: JSFunction, this: Any, args: List[Any]) -> Any:
+        # Calls and ``new`` both arrive here, so one counter bounds both.
+        if self._call_depth >= MAX_CALL_DEPTH:
+            raise range_error("Maximum call stack size exceeded")
         scope = Scope(parent=fn.scope)
         for index, param in enumerate(fn.params):
             scope.declare(param, args[index] if index < len(args) else UNDEFINED)
         scope.declare("arguments", JSArray(list(args)))
+        self._call_depth += 1
         try:
             self.execute_body(fn.body, scope, this)
         except _Return as ret:
             return ret.value
+        finally:
+            self._call_depth -= 1
         return UNDEFINED
 
     def construct(self, fn: Any, args: List[Any], line: int = 0) -> Any:
@@ -737,6 +755,10 @@ class Interpreter:
         return instance
 
     def _instanceof(self, value: Any, fn: Any) -> bool:
+        if isinstance(fn, NativeFunction) and fn.name in ERROR_CONSTRUCTORS:
+            if not isinstance(value, JSErrorValue):
+                return False
+            return fn.name == "Error" or value.name == fn.name
         if not isinstance(fn, JSFunction):
             raise type_error("right-hand side of instanceof is not callable")
         prototype = fn.get_own("prototype")

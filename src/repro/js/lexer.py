@@ -8,6 +8,19 @@ race-prone code uses (assignment and compound assignment, equality in both
 strict and loose flavours, logical/bitwise/arithmetic operators, ``typeof``,
 ``instanceof``, ``in``, ``new``, ``delete``).
 
+The lexer is one compiled master regex, :data:`_TOKEN`, matched at each
+position in turn; the name of the alternative that matched
+(``match.lastgroup``) says what kind of token it is.  Whitespace and
+comments match together as one ``trivia`` run.  Lines and columns are
+1-based and count code points: each match advances the line by the ``"\\n"``
+characters it contains, and a column is the offset from the last line start.
+Malformed input (an unterminated string or block comment, a newline in a
+string, a malformed hex literal, exponent, ``\\u`` or ``\\x`` escape, or a
+character no token starts with) raises :class:`JSSyntaxError`.  Identifiers
+start with a character for which ``str.isalpha()`` holds or with ``_``/``$``
+and continue with ``str.isalnum()`` characters or ``_``/``$``; digits in
+numbers are ASCII only.
+
 Regex literals are deliberately unsupported — none of the paper's examples
 need them and they complicate lexing disproportionately; scripts use string
 methods instead.
@@ -15,6 +28,7 @@ methods instead.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import List
 
@@ -54,57 +68,6 @@ KEYWORDS = frozenset(
     ]
 )
 
-#: Multi-character punctuators, longest first so maximal munch works.
-_PUNCTUATORS = [
-    "===",
-    "!==",
-    ">>>",
-    "<<=",
-    ">>=",
-    "==",
-    "!=",
-    "<=",
-    ">=",
-    "&&",
-    "||",
-    "++",
-    "--",
-    "+=",
-    "-=",
-    "*=",
-    "/=",
-    "%=",
-    "&=",
-    "|=",
-    "^=",
-    "<<",
-    ">>",
-    "{",
-    "}",
-    "(",
-    ")",
-    "[",
-    "]",
-    ";",
-    ",",
-    "<",
-    ">",
-    "+",
-    "-",
-    "*",
-    "/",
-    "%",
-    "=",
-    "!",
-    "?",
-    ":",
-    ".",
-    "&",
-    "|",
-    "^",
-    "~",
-]
-
 _STRING_ESCAPES = {
     "n": "\n",
     "t": "\t",
@@ -119,10 +82,37 @@ _STRING_ESCAPES = {
     "/": "/",
 }
 
+#: Alternatives are tried in order, so the first that matches wins: an
+#: unterminated ``/*`` is caught before ``/`` can match it as a punctuator,
+#: hex before decimal, ``.5`` before ``.``, and the punctuators go longest
+#: first (maximal munch).  ``\w`` is exactly ``str.isalnum()`` plus ``_``;
+#: ``word`` catches identifiers whose first character is not ASCII, whose
+#: start the tokenizer checks with ``str.isalpha()``.  ``bad`` matches any
+#: other single character, so every position matches something.
+_TOKEN = re.compile(
+    r"""
+    (?P<trivia> (?: [ \t\r\n\f\v]+ | //[^\n]* | /\*[\s\S]*?\*/ )+ )
+  | (?P<open_comment> /\* )
+  | (?P<ident> [A-Za-z_$][\w$]* )
+  | (?P<hex> 0[xX][0-9a-fA-F]* )
+  | (?P<num> (?: [0-9]+ (?:\.[0-9]*)? | \.[0-9]+ ) (?: [eE][+-]?[0-9]* )? )
+  | (?P<punct> >>> | === | !== | <<= | >>= | [=!<>+\-*/%&|^]= | && | \|\|
+             | \+\+ | -- | << | >> | [{}()\[\];,<>+\-*/%=!?:.&|^~] )
+  | (?P<str> "[^"\\\n]*(?:\\[\s\S][^"\\\n]*)*" | '[^'\\\n]*(?:\\[\s\S][^'\\\n]*)*' )
+  | (?P<word> [\w$]+ )
+  | (?P<bad> [\s\S] )
+    """,
+    re.VERBOSE,
+)
 
-def _is_digit(ch: str) -> bool:
-    """ASCII digit test (str.isdigit accepts Unicode digits float() rejects)."""
-    return "0" <= ch <= "9" if ch else False
+#: The part of a string literal before whatever ends it early: a newline,
+#: or the end of input (possibly after a lone backslash).
+_STRING_PREFIX = {
+    '"': re.compile(r'"[^"\\\n]*(?:\\[\s\S][^"\\\n]*)*'),
+    "'": re.compile(r"'[^'\\\n]*(?:\\[\s\S][^'\\\n]*)*"),
+}
+
+_ESCAPE = re.compile(r"\\(?:u([0-9a-fA-F]{4})|x([0-9a-fA-F]{2})|([\s\S]))")
 
 
 @dataclass
@@ -148,181 +138,84 @@ class Token:
         return f"Token({self.type!r}, {self.value!r}, {self.line}:{self.column})"
 
 
-class Lexer:
-    """Single-pass tokenizer with line/column tracking."""
-
-    def __init__(self, source: str):
-        self.source = source
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-
-    def tokenize(self) -> List[Token]:
-        """Tokenize the whole source, appending a final ``eof`` token."""
-        tokens: List[Token] = []
-        while True:
-            self._skip_trivia()
-            if self.pos >= len(self.source):
-                tokens.append(Token("eof", None, self.line, self.column))
-                return tokens
-            tokens.append(self._next_token())
-
-    # ------------------------------------------------------------------
-    # internals
-
-    def _error(self, message: str) -> JSSyntaxError:
-        return JSSyntaxError(message, self.line, self.column)
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        if index < len(self.source):
-            return self.source[index]
-        return ""
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos >= len(self.source):
-                return
-            if self.source[self.pos] == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-            self.pos += 1
-
-    def _skip_trivia(self) -> None:
-        """Skip whitespace and ``//`` / ``/* */`` comments."""
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n\f\v":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start_line, start_col = self.line, self.column
-                self._advance(2)
-                while not (self._peek() == "*" and self._peek(1) == "/"):
-                    if self.pos >= len(self.source):
-                        raise JSSyntaxError(
-                            "unterminated block comment", start_line, start_col
-                        )
-                    self._advance()
-                self._advance(2)
-            else:
-                return
-
-    def _next_token(self) -> Token:
-        ch = self._peek()
-        if _is_digit(ch) or (ch == "." and _is_digit(self._peek(1))):
-            return self._read_number()
-        if ch in "\"'":
-            return self._read_string()
-        if ch.isalpha() or ch in "_$":
-            return self._read_identifier()
-        return self._read_punctuator()
-
-    def _read_number(self) -> Token:
-        line, column = self.line, self.column
-        start = self.pos
-        if self._peek() == "0" and self._peek(1) in ("x", "X"):
-            self._advance(2)
-            if not self._is_hex(self._peek()):
-                raise self._error("malformed hex literal")
-            while self._is_hex(self._peek()):
-                self._advance()
-            text = self.source[start : self.pos]
-            return Token("num", float(int(text, 16)), line, column)
-        while _is_digit(self._peek()):
-            self._advance()
-        if self._peek() == ".":
-            self._advance()
-            while _is_digit(self._peek()):
-                self._advance()
-        if self._peek() in ("e", "E"):
-            self._advance()
-            if self._peek() in ("+", "-"):
-                self._advance()
-            if not _is_digit(self._peek()):
-                raise self._error("malformed exponent")
-            while _is_digit(self._peek()):
-                self._advance()
-        text = self.source[start : self.pos]
-        return Token("num", float(text), line, column)
-
-    @staticmethod
-    def _is_hex(ch: str) -> bool:
-        return bool(ch) and ch in "0123456789abcdefABCDEF"
-
-    def _read_string(self) -> Token:
-        line, column = self.line, self.column
-        quote = self._peek()
-        self._advance()
-        parts: List[str] = []
-        while True:
-            ch = self._peek()
-            if not ch:
-                raise JSSyntaxError("unterminated string literal", line, column)
-            if ch == "\n":
-                raise JSSyntaxError("newline in string literal", line, column)
-            if ch == quote:
-                self._advance()
-                return Token("str", "".join(parts), line, column)
-            if ch == "\\":
-                self._advance()
-                esc = self._peek()
-                if esc == "u":
-                    self._advance()
-                    hex_digits = self.source[self.pos : self.pos + 4]
-                    if len(hex_digits) < 4 or not all(
-                        self._is_hex(d) for d in hex_digits
-                    ):
-                        raise self._error("malformed unicode escape")
-                    parts.append(chr(int(hex_digits, 16)))
-                    self._advance(4)
-                elif esc == "x":
-                    self._advance()
-                    hex_digits = self.source[self.pos : self.pos + 2]
-                    if len(hex_digits) < 2 or not all(
-                        self._is_hex(d) for d in hex_digits
-                    ):
-                        raise self._error("malformed hex escape")
-                    parts.append(chr(int(hex_digits, 16)))
-                    self._advance(2)
-                elif esc in _STRING_ESCAPES:
-                    parts.append(_STRING_ESCAPES[esc])
-                    self._advance()
-                else:
-                    # Unknown escapes keep the escaped character, per spec.
-                    parts.append(esc)
-                    self._advance()
-            else:
-                parts.append(ch)
-                self._advance()
-
-    def _read_identifier(self) -> Token:
-        line, column = self.line, self.column
-        start = self.pos
-        while True:
-            ch = self._peek()
-            if ch and (ch.isalnum() or ch in "_$"):
-                self._advance()
-            else:
-                break
-        text = self.source[start : self.pos]
-        if text in KEYWORDS:
-            return Token(text, text, line, column)
-        return Token("ident", text, line, column)
-
-    def _read_punctuator(self) -> Token:
-        line, column = self.line, self.column
-        for punct in _PUNCTUATORS:
-            if self.source.startswith(punct, self.pos):
-                self._advance(len(punct))
-                return Token("punct", punct, line, column)
-        raise self._error(f"unexpected character {self._peek()!r}")
-
-
 def tokenize(source: str) -> List[Token]:
-    """Convenience wrapper: tokenize ``source`` into a token list."""
-    return Lexer(source).tokenize()
+    """Tokenize ``source`` into a token list ending with an ``eof`` token."""
+    tokens: List[Token] = []
+    append = tokens.append
+    line, line_start = 1, 0
+    for match in _TOKEN.finditer(source):
+        kind = match.lastgroup
+        text = match.group()
+        start = match.start()
+        if kind == "trivia":
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = start + text.rindex("\n") + 1
+            continue
+        column = start - line_start + 1
+        if kind == "punct":
+            append(Token("punct", text, line, column))
+        elif kind == "ident" or (
+            kind == "word" and (text[0].isalpha() or text[0] in "_$")
+        ):
+            append(Token(text if text in KEYWORDS else "ident", text, line, column))
+        elif kind == "num":
+            if text[-1] in "eE+-":
+                raise _error_at(source, match.end(), "malformed exponent")
+            append(Token("num", float(text), line, column))
+        elif kind == "str":
+            body = text[1:-1]
+            if "\\" in body:
+                body = _decode_escapes(source, body, start + 1)
+            append(Token("str", body, line, column))
+            newlines = text.count("\n")  # escaped by a backslash
+            if newlines:
+                line += newlines
+                line_start = start + text.rindex("\n") + 1
+        elif kind == "hex":
+            if len(text) == 2:
+                raise _error_at(source, match.end(), "malformed hex literal")
+            try:
+                value = float(int(text, 16))
+            except OverflowError:
+                value = float("inf")
+            append(Token("num", value, line, column))
+        elif kind == "open_comment":
+            raise JSSyntaxError("unterminated block comment", line, column)
+        elif text in "\"'":
+            prefix = _STRING_PREFIX[text].match(source, start).group()
+            _decode_escapes(source, prefix[1:], start + 1)
+            if source.startswith("\n", start + len(prefix)):
+                raise JSSyntaxError("newline in string literal", line, column)
+            raise JSSyntaxError("unterminated string literal", line, column)
+        else:
+            raise JSSyntaxError(f"unexpected character {text[0]!r}", line, column)
+    append(Token("eof", None, line, len(source) - line_start + 1))
+    return tokens
+
+
+def _decode_escapes(source: str, body: str, offset: int) -> str:
+    """Decode the backslash escapes of a string body found at ``offset``.
+
+    Unknown escapes keep the escaped character, per spec.  A ``\\u`` or
+    ``\\x`` without its 4 or 2 hex digits raises, positioned just after
+    the ``u``/``x``.
+    """
+
+    def escape(match: "re.Match[str]") -> str:
+        unicode, hex_pair, other = match.groups()
+        if unicode or hex_pair:
+            return chr(int(unicode or hex_pair, 16))
+        if other == "u" or other == "x":
+            kind = "unicode" if other == "u" else "hex"
+            position = offset + match.start() + 2
+            raise _error_at(source, position, f"malformed {kind} escape")
+        return _STRING_ESCAPES.get(other, other)
+
+    return _ESCAPE.sub(escape, body)
+
+
+def _error_at(source: str, pos: int, message: str) -> JSSyntaxError:
+    line = source.count("\n", 0, pos) + 1
+    return JSSyntaxError(message, line, pos - source.rfind("\n", 0, pos))

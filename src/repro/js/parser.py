@@ -46,6 +46,13 @@ _ASSIGNMENT_OPERATORS = frozenset(
     ["=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="]
 )
 
+#: Deepest nesting of statements, assignment-level expressions, prefix
+#: operators and ``new`` the parser accepts.  Parsing one level takes up
+#: to nine Python frames (a parenthesised expression) and evaluating it a
+#: few more, so 64 levels stay well inside Python's default recursion
+#: limit of 1000 even when the script runs deep inside the browser.
+MAX_NESTING = 64
+
 
 class Parser:
     """Parses a token list into a :class:`repro.js.ast.Program`."""
@@ -56,13 +63,19 @@ class Parser:
         #: When parsing a ``for (init ...`` head, the ``in`` operator must
         #: not be consumed as a binary operator; this flag suppresses it.
         self._no_in = False
+        #: Current nesting level, bounded by :data:`MAX_NESTING`.  A syntax
+        #: error abandons the parser, so only successful returns restore it.
+        self._depth = 0
 
     # ------------------------------------------------------------------
     # token helpers
 
     def _peek(self, offset: int = 0) -> Token:
-        index = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+        # ``_next`` never steps past the trailing ``eof`` token, so the
+        # current position is always a valid index.
+        if offset:
+            return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        return self.tokens[self.pos]
 
     def _next(self) -> Token:
         token = self._peek()
@@ -71,14 +84,16 @@ class Parser:
         return token
 
     def _at_punct(self, text: str) -> bool:
-        return self._peek().is_punct(text)
+        token = self.tokens[self.pos]
+        return token.type == "punct" and token.value == text
 
     def _at_keyword(self, word: str) -> bool:
-        return self._peek().type == word
+        return self.tokens[self.pos].type == word
 
     def _eat_punct(self, text: str) -> bool:
-        if self._at_punct(text):
-            self._next()
+        token = self.tokens[self.pos]
+        if token.type == "punct" and token.value == text:
+            self.pos += 1
             return True
         return False
 
@@ -104,6 +119,12 @@ class Parser:
     def _error(self, message: str) -> JSSyntaxError:
         token = self._peek()
         return JSSyntaxError(message, token.line, token.column)
+
+    def _descend(self) -> None:
+        """Enter one nesting level; the caller decrements ``_depth`` after."""
+        self._depth += 1
+        if self._depth > MAX_NESTING:
+            raise self._error("nesting too deep")
 
     def _line_break_before(self) -> bool:
         """True if a newline separates the previous token from the next."""
@@ -135,6 +156,12 @@ class Parser:
 
     def parse_statement(self) -> ast.Node:
         """Parse one statement."""
+        self._descend()
+        statement = self._parse_statement()
+        self._depth -= 1
+        return statement
+
+    def _parse_statement(self) -> ast.Node:
         token = self._peek()
         if token.is_punct("{"):
             return self._parse_block()
@@ -407,6 +434,12 @@ class Parser:
 
     def parse_assignment(self) -> ast.Node:
         """Parse an assignment-level expression (no commas)."""
+        self._descend()
+        expression = self._parse_assignment()
+        self._depth -= 1
+        return expression
+
+    def _parse_assignment(self) -> ast.Node:
         left = self._parse_conditional()
         token = self._peek()
         if token.type == "punct" and token.value in _ASSIGNMENT_OPERATORS:
@@ -461,26 +494,31 @@ class Parser:
     def _parse_unary(self) -> ast.Node:
         token = self._peek()
         if token.type == "punct" and token.value in ("-", "+", "!", "~"):
-            self._next()
-            operand = self._parse_unary()
+            operand = self._parse_prefix_operand()
             return ast.UnaryExpression(
                 line=token.line, operator=token.value, operand=operand
             )
         if token.type in ("typeof", "void", "delete"):
-            self._next()
-            operand = self._parse_unary()
+            operand = self._parse_prefix_operand()
             return ast.UnaryExpression(
                 line=token.line, operator=token.type, operand=operand
             )
         if token.type == "punct" and token.value in ("++", "--"):
-            self._next()
-            operand = self._parse_unary()
+            operand = self._parse_prefix_operand()
             if not isinstance(operand, (ast.Identifier, ast.MemberExpression)):
                 raise self._error("invalid increment/decrement target")
             return ast.UpdateExpression(
                 line=token.line, operator=token.value, operand=operand, prefix=True
             )
         return self._parse_postfix()
+
+    def _parse_prefix_operand(self) -> ast.Node:
+        """Consume a prefix operator and parse its operand one level deeper."""
+        self._next()
+        self._descend()
+        operand = self._parse_unary()
+        self._depth -= 1
+        return operand
 
     def _parse_postfix(self) -> ast.Node:
         expression = self._parse_call()
@@ -519,7 +557,9 @@ class Parser:
         """Parse the callee of ``new`` without consuming its argument list."""
         if self._at_keyword("new"):
             token = self._next()
+            self._descend()
             callee = self._parse_call_no_new_args()
+            self._depth -= 1
             arguments: List[ast.Node] = []
             if self._at_punct("("):
                 arguments = self._parse_arguments()

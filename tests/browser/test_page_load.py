@@ -8,6 +8,7 @@ load timing, iframe nesting — plus the HB edges themselves via the graph.
 import pytest
 
 from repro.browser.page import Browser
+from repro.js.errors import JSSyntaxError
 
 
 def load(html, resources=None, latencies=None, seed=0, **kwargs):
@@ -85,6 +86,47 @@ class TestScriptScheduling:
         page = load("<script>x = 'kept'; nothingHere();</script>")
         assert page.interpreter.global_object.get_own("x") == "kept"
         assert page.trace.crashes[0].kind == "ReferenceError"
+
+    def test_too_deeply_nested_script_is_hidden_crash(self):
+        page = load(
+            "<script>var x = " + "(" * 3000 + "1" + ")" * 3000 + ";</script>"
+            "<script>after = 'ran';</script>"
+        )
+        assert page.loaded()
+        [crash] = page.trace.crashes
+        assert isinstance(crash.error, JSSyntaxError)
+        assert crash.error.raw_message == "nesting too deep"
+        assert page.interpreter.global_object.get_own("after") == "ran"
+
+    def test_runaway_recursion_is_hidden_range_error(self):
+        page = load(
+            "<script>function f(n){return f(n+1)} f(0)</script>"
+            "<script>after = 'ran';</script>"
+        )
+        assert page.loaded()
+        [crash] = page.trace.crashes
+        assert crash.kind == "RangeError"
+        assert crash.error.message == "Maximum call stack size exceeded"
+        assert page.interpreter.global_object.get_own("after") == "ran"
+
+    def test_runaway_recursion_can_be_caught(self):
+        page = load(
+            "<script>function f(n){return f(n+1)} var r;"
+            " try { f(0) } catch (e) { r = e instanceof RangeError }</script>"
+        )
+        assert not page.trace.crashes
+        assert page.interpreter.global_object.get_own("r") is True
+
+    def test_recursion_inside_nested_statements_stays_a_range_error(self):
+        """About 22 Python frames per call: the deepest call the limit
+        allows must still fit in Python's recursion limit."""
+        page = load(
+            "<script>var r; function f(n) { for (var i = 0; i < 1; i++) {"
+            " if (n >= 0) { try { r = f(n + 1) } catch (e) { throw e } } } return r }"
+            " f(0)</script>"
+        )
+        [crash] = page.trace.crashes
+        assert crash.kind == "RangeError"
 
 
 class TestLifecycleEvents:

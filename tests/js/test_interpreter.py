@@ -13,7 +13,7 @@ from repro.js import (
     evaluate,
 )
 from repro.js.builtins import install_builtins
-from repro.js.interpreter import BudgetExceeded, Interpreter
+from repro.js.interpreter import MAX_CALL_DEPTH, BudgetExceeded, Interpreter
 from repro.js.parser import parse
 
 
@@ -238,6 +238,49 @@ class TestExceptions:
     def test_property_of_null_is_type_error(self):
         with pytest.raises(JSThrow):
             run("null.x")
+
+    def test_error_types_are_instanceof_their_constructors(self):
+        source = """
+        var r = [];
+        try { doesNotExist() } catch (e) {
+          r.push(e instanceof ReferenceError, e instanceof Error, e instanceof TypeError)
+        }
+        r.join()
+        """
+        assert run(source) == "true,true,false"
+
+
+class TestCallDepth:
+    def test_runaway_recursion_is_range_error(self):
+        with pytest.raises(JSThrow) as exc_info:
+            run("function f(n) { return f(n + 1) } f(0)")
+        error = exc_info.value.value
+        assert (error.name, error.message) == (
+            "RangeError",
+            "Maximum call stack size exceeded",
+        )
+
+    def test_runaway_constructor_is_range_error(self):
+        with pytest.raises(JSThrow) as exc_info:
+            run("function F() { new F() } new F()")
+        assert exc_info.value.value.name == "RangeError"
+
+    def test_catch_sees_range_error_and_depth_recovers(self):
+        source = """
+        function f(n) { return f(n + 1) }
+        function depth(n) { return n == 0 ? 0 : 1 + depth(n - 1) }
+        var r;
+        try { f(0) } catch (e) { r = e instanceof RangeError }
+        [r, depth(MAX - 1)].join()
+        """
+        interp = Interpreter()
+        install_builtins(interp)
+        interp.global_object.set_own("MAX", float(MAX_CALL_DEPTH))
+        assert evaluate(source, interp) == f"true,{MAX_CALL_DEPTH - 1}"
+
+    def test_limit_counts_active_calls_only(self):
+        source = "function g() { return 1 } var s = 0; for (var i = 0; i < 500; i++) { s += g() } s"
+        assert run(source) == 500.0
 
 
 class TestObjectsAndArrays:

@@ -1,9 +1,14 @@
 """Tests for the JavaScript lexer."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.html.tokenizer import StartTag, Text, tokenize_html
 from repro.js.errors import JSSyntaxError
-from repro.js.lexer import Token, tokenize
+from repro.js.lexer import _TOKEN, Token, tokenize
+from repro.sites.corpus import build_corpus
+
+from .reference_lexer import reference_tokenize
 
 
 def types(source):
@@ -165,3 +170,114 @@ class TestPositions:
         assert token.is_punct("{")
         assert not token.is_punct("}")
         assert not Token("ident", "{", 1, 1).is_punct("{")
+
+
+class TestHexOverflow:
+    def test_hex_literal_beyond_double_range_is_infinity(self):
+        assert values("0x" + "f" * 300) == [float("inf")]
+
+
+# ----------------------------------------------------------------------
+# equivalence with the character-stepping reference lexer
+
+
+def _outcome(lex, source):
+    """Tokens as ``(type, value, line, column)`` or the error's position."""
+    try:
+        tokens = lex(source)
+    except JSSyntaxError as error:
+        return ("error", error.raw_message, error.line, error.column)
+    return [(t.type, t.value, t.line, t.column) for t in tokens]
+
+
+def assert_same_as_reference(source):
+    assert _outcome(tokenize, source) == _outcome(reference_tokenize, source)
+
+
+#: Fragments that reach every branch of both lexers: string quotes and
+#: escapes, comment openers and closers, hex and exponent prefixes, line
+#: endings, and Unicode letters and digits that ``str.isalpha``,
+#: ``str.isalnum`` and ASCII-digit tests disagree on.
+_JS_FRAGMENTS = [
+    "'", '"', "\\", "\\u", "\\x", "\\u00e9", "\\x41", "/*", "*/", "//", "/",
+    "*", "0x", "0X", "e+", "E-", "e", ".", "1", "09", "a", "f", "F", "$", "_",
+    "var", "in", " ", "\t", "\n", "\r\n", "\r", "\v", "=", "==", ">>>=", "<<",
+    "!", "+", "-", "(", ")", "{", "}", ";", ",", "²", "ª", "٣", "é", "@", "#",
+    "\u00a0", "\u2028",
+]
+
+
+@given(st.text())
+@settings(max_examples=500, deadline=None)
+def test_matches_reference_on_any_text(source):
+    assert_same_as_reference(source)
+
+
+@given(st.lists(st.sampled_from(_JS_FRAGMENTS), max_size=40).map("".join))
+@settings(max_examples=600, deadline=None)
+def test_matches_reference_on_js_shaped_text(source):
+    assert_same_as_reference(source)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "'\\u12'",
+        "'\\u12\n'",
+        "'\\x4'",
+        "'abc\\",
+        "'a\\\nb' c",
+        "'a\\\r\nb'",
+        "\"\\u0041\\x41\\q\\n\"",
+        "x\n  /* a\n b */ 1.5e+3 0x1F .5 5. ²",
+        "a\n\n /* never",
+        "1e+",
+        "1.e5 1..x",
+        "ª² ²ª",
+        "x\r\ny",
+    ],
+)
+def test_matches_reference_on_edge_cases(source):
+    assert_same_as_reference(source)
+
+
+def test_identifier_characters_follow_str_methods_on_every_code_point():
+    """The master regex's ``\\w`` must agree with ``str.isalnum()`` on the
+    Unicode database of the running Python."""
+    for code in range(0x110000):
+        char = chr(code)
+        continues = char.isalnum() or char in "_$"
+        assert (_TOKEN.match("a" + char).group() == "a" + char) == continues, hex(code)
+
+
+def _corpus_script_sources():
+    """Every inline script, handler attribute and ``.js`` resource of the
+    seed-0 corpus, including those of its ``.html`` resources (frames)."""
+    sources = []
+    for site in build_corpus(master_seed=0):
+        pages = [site.html]
+        for url, body in site.resources.items():
+            if url.endswith(".js"):
+                sources.append(body)
+            elif url.endswith(".html"):
+                pages.append(body)
+        for page in pages:
+            in_script = False
+            for token in tokenize_html(page):
+                if in_script and isinstance(token, Text):
+                    sources.append(token.data)
+                in_script = isinstance(token, StartTag) and token.name == "script"
+                if isinstance(token, StartTag):
+                    sources.extend(
+                        value
+                        for name, value in token.attributes.items()
+                        if name.startswith("on")
+                    )
+    return sources
+
+
+def test_matches_reference_on_every_corpus_script():
+    sources = _corpus_script_sources()
+    assert len(sources) > 500
+    for source in sources:
+        assert_same_as_reference(source)

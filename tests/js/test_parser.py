@@ -4,7 +4,7 @@ import pytest
 
 from repro.js import ast
 from repro.js.errors import JSSyntaxError
-from repro.js.parser import parse, parse_expression
+from repro.js.parser import MAX_NESTING, parse, parse_expression
 
 
 def stmt(source):
@@ -297,3 +297,41 @@ class TestExpressions:
         assert isinstance(parse_expression("undefined"), ast.UndefinedLiteral)
         assert parse_expression("true").value is True
         assert parse_expression("false").value is False
+
+
+class TestNestingLimit:
+    """Input nested deeper than ``MAX_NESTING`` is a syntax error, not a
+    Python ``RecursionError``."""
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "var x = " + "(" * 3000 + "1" + ")" * 3000 + ";",
+            "var x = " + "!" * 3000 + "1;",
+            "var x = " + "new " * 3000 + "F;",
+            "var x = " + "[" * 3000 + "]" * 3000 + ";",
+            "x = " + "a = " * 3000 + "1;",
+            "{" * 3000 + "}" * 3000,
+            "if (a) " * 3000 + "x();",
+        ],
+    )
+    def test_deep_nesting_raises_syntax_error(self, source):
+        with pytest.raises(JSSyntaxError) as exc_info:
+            parse(source)
+        assert exc_info.value.raw_message == "nesting too deep"
+        assert exc_info.value.line == 1
+
+    def test_nesting_at_the_limit_parses(self):
+        depth = MAX_NESTING - 2  # the statement and its initializer
+        program = parse("var x = " + "!" * depth + "1;")
+        node = program.body[0].declarations[0][1]
+        for _ in range(depth):
+            assert isinstance(node, ast.UnaryExpression)
+            node = node.operand
+        assert isinstance(node, ast.NumberLiteral)
+        with pytest.raises(JSSyntaxError):
+            parse("var x = " + "!" * (depth + 1) + "1;")
+
+    def test_depth_is_restored_between_siblings(self):
+        source = ";".join(["(((((((((1)))))))))"] * 100)
+        assert len(parse(source).body) == 100
